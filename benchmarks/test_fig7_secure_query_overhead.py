@@ -28,7 +28,7 @@ def _engine_for(doc, accessibility, seed=3):
     vector = single_subject_labels(doc, config)
     dol = DOL.from_masks([int(v) for v in vector], 1)
     store = NoKStore(doc, dol, page_size=4096, buffer_capacity=256)
-    return QueryEngine(doc, dol=dol, store=store)
+    return QueryEngine(doc, labeling=dol, store=store)
 
 
 def _median_time(fn, repeats=REPEATS):

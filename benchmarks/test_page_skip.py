@@ -21,7 +21,7 @@ def _engine(doc, accessibility, seed=2, page_size=1024):
     vector = single_subject_labels(doc, config)
     dol = DOL.from_masks([int(v) for v in vector], 1)
     store = NoKStore(doc, dol, page_size=page_size, buffer_capacity=512)
-    return QueryEngine(doc, dol=dol, store=store)
+    return QueryEngine(doc, labeling=dol, store=store)
 
 
 def test_page_skip_saves_io_at_low_accessibility(xmark_doc, benchmark):

@@ -23,7 +23,7 @@ def _engine(doc, accessibility=0.7, seed=9):
     )
     vector = single_subject_labels(doc, config)
     dol = DOL.from_masks([int(v) for v in vector], 1)
-    return QueryEngine(doc, dol=dol)
+    return QueryEngine(doc, labeling=dol)
 
 
 def _median_time(fn, repeats=5):
@@ -94,30 +94,6 @@ def test_join_distance_classes(xmark_doc, benchmark):
     benchmark(engine.evaluate, QUERIES["Q4"])
 
 
-def test_pathstack_strategy_comparison(xmark_doc, benchmark):
-    """A6: NoK decomposition + STD vs holistic PathStack on Q4–Q6.
-
-    Both strategies must agree exactly; timings show which join style wins
-    on each distance class.
-    """
-    engine = _engine(xmark_doc)
-    rows = []
-    for qid in JOIN_QUERIES:
-        query = QUERIES[qid]
-        nok = engine.evaluate(query, subject=0)
-        holistic = engine.evaluate_path(query, subject=0)
-        assert holistic.positions == nok.positions, qid
-        t_nok = _median_time(lambda: engine.evaluate(query, subject=0))
-        t_ps = _median_time(lambda: engine.evaluate_path(query, subject=0))
-        rows.append((qid, nok.n_answers, t_nok * 1000, t_ps * 1000))
-    print_table(
-        "A6: secure join strategies (times in ms)",
-        ["query", "answers", "NoK+STD", "PathStack"],
-        rows,
-    )
-    benchmark(engine.evaluate_path, QUERIES["Q6"], 0)
-
-
 def test_join_loads_each_page_at_most_once(xmark_doc, benchmark):
     """The [18] claim for ε-STD: with a sufficient buffer, secure join
     evaluation loads every data page at most once."""
@@ -131,7 +107,7 @@ def test_join_loads_each_page_at_most_once(xmark_doc, benchmark):
     )
     dol = DOL.from_masks([int(v) for v in vector], 1)
     store = NoKStore(xmark_doc, dol, page_size=1024, buffer_capacity=4096)
-    engine = QueryEngine(xmark_doc, dol=dol, store=store)
+    engine = QueryEngine(xmark_doc, labeling=dol, store=store)
     for qid in JOIN_QUERIES:
         store.drop_caches()
         result = engine.evaluate(QUERIES[qid], subject=0)

@@ -101,7 +101,7 @@ def test_proposition1_random_workload(xmark_doc, benchmark):
 
 def test_subject_addition_is_codebook_only(xmark_doc, benchmark):
     store = _store(xmark_doc)
-    dol = store.dol
+    dol = store.labeling
     transitions_before = list(dol.positions)
     pager_writes_before = store.pager.stats.writes
 
@@ -117,10 +117,10 @@ def test_subject_addition_is_codebook_only(xmark_doc, benchmark):
 
 def test_subject_removal_lazy_compaction(xmark_doc, benchmark):
     store = _store(xmark_doc)
-    book = store.dol.codebook
+    book = store.labeling.codebook
     book.remove_subject(2)
     # codes remain valid; duplicates may exist awaiting lazy compaction
-    for code in store.dol.codes:
+    for code in store.labeling.codes:
         book.decode(code)
     assert book.duplicate_entry_count() >= 0
     benchmark(book.duplicate_entry_count)

@@ -107,7 +107,7 @@ def main() -> None:
         f"\nrevoked nurse on patient 0: transition delta {delta:+d} "
         f"(Proposition 1 guarantees <= +2)"
     )
-    engine2 = QueryEngine(doc, dol=dol)
+    engine2 = QueryEngine(doc, labeling=dol)
     before = engine.evaluate("//visit/observation", subject=NURSE).n_answers
     after = engine2.evaluate("//visit/observation", subject=NURSE).n_answers
     print(f"nurse observations before={before} after={after}")

@@ -1,27 +1,18 @@
-"""Advanced querying tour: plans, strategies, ordered trees, attributes.
+"""Advanced querying tour: plans, ordered trees, attributes.
 
 Shows the query-side features beyond plain evaluation:
 
-- ``engine.explain`` — the NoK decomposition plan;
-- ``engine.evaluate`` vs ``engine.evaluate_path`` — NoK+STD vs holistic
-  PathStack, same answers, different cost profiles;
+- ``engine.explain`` / ``engine.explain_analyze`` — the NoK decomposition
+  plan, then the executed operator tree with per-operator counters;
 - ordered pattern trees (following-sibling constraints);
 - attribute predicates.
 
 Run with: python examples/query_strategies.py
 """
 
-import time
-
 from repro import QueryEngine
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
 from repro.xmark.generator import XMarkConfig, generate_document
-
-
-def timed(fn, *args, **kwargs):
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - started) * 1000
 
 
 def main() -> None:
@@ -36,23 +27,12 @@ def main() -> None:
     query = "//listitem//keyword"
     print(engine.explain(query))
 
-    # 2. Two strategies, identical answers.
-    nok, t_nok = timed(engine.evaluate, query, 0)
-    holistic, t_ps = timed(engine.evaluate_path, query, 0)
-    assert nok.positions == holistic.positions
-    print(
-        f"\n{query}: {nok.n_answers} secure answers — "
-        f"NoK+STD {t_nok:.2f} ms, PathStack {t_ps:.2f} ms"
-    )
+    # 2. Run it securely and see where the rows went.
+    result, analyzed = engine.explain_analyze(query, subject=0)
+    print(f"\n{query}: {result.n_answers} secure answers")
+    print(analyzed)
 
-    # 3. Branching twigs run through the path-merge variant.
-    twig = "/site/regions/africa/item[location][name][quantity]"
-    a = engine.evaluate(twig)
-    b = engine.evaluate_path(twig)
-    assert a.positions == b.positions
-    print(f"{twig}: {a.n_answers} answers via both strategies")
-
-    # 4. Ordered pattern trees: sibling order matters.
+    # 3. Ordered pattern trees: sibling order matters.
     unordered = engine.evaluate("//item[quantity][location]")
     ordered = engine.evaluate("//item[quantity][location]", ordered=True)
     print(
@@ -61,7 +41,7 @@ def main() -> None:
         f"so the ordered pattern requires the reverse and matches fewer)"
     )
 
-    # 5. Attribute predicates.
+    # 4. Attribute predicates.
     by_id = engine.evaluate('//item[@id = "item42"]')
     featured = engine.evaluate("//incategory[@category]")
     print(

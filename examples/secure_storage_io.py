@@ -26,7 +26,7 @@ def main() -> None:
     )
     dol = DOL.from_masks([int(v) for v in vector], 1)
     store = NoKStore(doc, dol, page_size=1024, buffer_capacity=1024)
-    engine = QueryEngine(doc, dol=dol, store=store)
+    engine = QueryEngine(doc, labeling=dol, store=store)
 
     print(
         f"store: {store.n_nodes} nodes on {store.n_pages} pages "

@@ -1,26 +1,12 @@
-"""Batch-vs-tuple execution benchmark — the payload behind ``BENCH_exec.json``.
+"""Plain-vs-codec storage benchmark — the payload of ``repro-dol bench``.
 
-:func:`run_exec_benchmark` runs the secure-query workload
-(:data:`~repro.bench.queries.QUERIES`) over XMark-like documents at
-several sizes, timing every query once per execution mode on one shared
-engine. Both modes must return identical answers — the benchmark asserts
-it — so the speedup column compares equal work. Per query it records the
-best-of-``repeats`` latency in each mode plus the run-interval counters
-(probes saved, access checks); per size, the overall speedup
-``total tuple time / total batch time``.
-
-:func:`diff_reports` compares a fresh report against a committed
-baseline (``BENCH_baseline.json``) on the *speedup ratios*, not absolute
-latencies — ratios transfer across machines, latencies do not. The
-``bench`` CLI subcommand and the CI perf-smoke job gate on it.
-
-:func:`run_storage_benchmark` is the codec gate's payload: it builds the
-largest document twice as a file-backed store — plain v2 layout and the
-requested page codec — runs the same workload batch-mode over both, and
-records on-disk bytes plus best-of-repeats latency for each.
+:func:`run_storage_benchmark` builds one XMark-like document twice as a
+file-backed store — plain v2 layout and the requested page codec — runs
+the secure-query workload (:data:`~repro.bench.queries.QUERIES`) over
+both, and records on-disk bytes plus best-of-repeats latency for each.
 :func:`gate_storage_report` enforces the acceptance ratios (compressed
-store ≥ 25% smaller, batch latency within 10% of plain); both land in
-``BENCH_exec.json`` under ``"storage"``.
+store ≥ 25% smaller, latency within 10% of plain). End-to-end and
+per-layer execution timings live in ``perf/`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -28,7 +14,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.labeling import write_report
 from repro.bench.queries import QUERIES
@@ -37,87 +23,10 @@ from repro.errors import ReproError
 from repro.nok.engine import QueryEngine
 
 __all__ = [
-    "run_exec_benchmark",
     "run_storage_benchmark",
     "gate_storage_report",
-    "diff_reports",
     "write_report",
 ]
-
-
-def run_exec_benchmark(
-    sizes: Sequence[int] = (40, 80, 160),
-    queries: Optional[Dict[str, str]] = None,
-    subject: int = 0,
-    semantics: str = "cho",
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time the workload in both execution modes at each document size."""
-    if not sizes:
-        raise ReproError("benchmark needs at least one document size")
-    queries = queries if queries is not None else dict(QUERIES)
-    sizes = sorted(sizes)
-    report: Dict[str, object] = {
-        "subject": subject,
-        "semantics": semantics,
-        "repeats": repeats,
-        "queries": list(queries),
-        "sizes": {},
-    }
-    for n_items in sizes:
-        doc, matrix, _ = secured_xmark(n_items)
-        engine = QueryEngine.build(doc, matrix)
-        entry: Dict[str, object] = {
-            "n_items": n_items,
-            "n_nodes": len(doc),
-            "queries": {},
-        }
-        totals = {"tuple": 0.0, "batch": 0.0}
-        for qid, query in queries.items():
-            per_mode: Dict[str, Dict[str, object]] = {}
-            answers: Dict[str, List[int]] = {}
-            for mode in ("tuple", "batch"):
-                best_ms = None
-                for _ in range(max(repeats, 1)):
-                    started = time.perf_counter()
-                    result = engine.evaluate(
-                        query, subject=subject, semantics=semantics,
-                        exec_mode=mode,
-                    )
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
-                    best_ms = (
-                        elapsed_ms if best_ms is None else min(best_ms, elapsed_ms)
-                    )
-                answers[mode] = result.positions
-                per_mode[mode] = {
-                    "ms": best_ms,
-                    "access_checks": result.stats.access_checks,
-                    "probes_saved": result.stats.probes_saved,
-                }
-                totals[mode] += best_ms
-            if answers["tuple"] != answers["batch"]:
-                raise ReproError(
-                    f"batch and tuple answers diverge on {qid} "
-                    f"at n_items={n_items}"
-                )
-            entry["queries"][qid] = {
-                "n_answers": len(answers["batch"]),
-                "tuple_ms": per_mode["tuple"]["ms"],
-                "batch_ms": per_mode["batch"]["ms"],
-                "speedup": per_mode["tuple"]["ms"] / per_mode["batch"]["ms"],
-                "access_checks": per_mode["batch"]["access_checks"],
-                "probes_saved": per_mode["batch"]["probes_saved"],
-            }
-        entry["tuple_total_ms"] = totals["tuple"]
-        entry["batch_total_ms"] = totals["batch"]
-        entry["speedup_overall"] = totals["tuple"] / totals["batch"]
-        report["sizes"][str(n_items)] = entry
-    biggest = report["sizes"][str(sizes[-1])]
-    report["largest"] = {
-        "n_items": sizes[-1],
-        "speedup_overall": biggest["speedup_overall"],
-    }
-    return report
 
 
 def run_storage_benchmark(
@@ -129,12 +38,12 @@ def run_storage_benchmark(
     semantics: str = "cho",
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Disk footprint + batch latency of a compressed vs plain store.
+    """Disk footprint + query latency of a compressed vs plain store.
 
     Both stores are built from the same document and ACL, saved to disk,
-    and queried batch-mode through store-backed engines. Answers must
-    match position-for-position — compression may never change results —
-    and the report carries the two ratios the gate checks:
+    and queried through store-backed engines. Answers must match
+    position-for-position — compression may never change results — and
+    the report carries the two ratios the gate checks:
     ``bytes_ratio`` (compressed page file / plain page file) and
     ``latency_ratio`` (compressed best-of-repeats total / plain).
     """
@@ -167,8 +76,7 @@ def run_storage_benchmark(
                     for _ in range(max(repeats, 1)):
                         started = time.perf_counter()
                         result = engine.evaluate(
-                            query, subject=subject, semantics=semantics,
-                            exec_mode="batch",
+                            query, subject=subject, semantics=semantics
                         )
                         elapsed = (time.perf_counter() - started) * 1000.0
                         best_ms = (
@@ -180,7 +88,7 @@ def run_storage_benchmark(
                     "store_bytes": os.path.getsize(path),
                     "n_pages": engine.store.n_pages,
                     "entries_per_page": engine.store.entries_per_page,
-                    "batch_total_ms": total_ms,
+                    "total_ms": total_ms,
                 }
             finally:
                 engine.store.close()
@@ -193,9 +101,7 @@ def run_storage_benchmark(
     plain = report["variants"]["plain"]
     compressed = report["variants"]["compressed"]
     report["bytes_ratio"] = compressed["store_bytes"] / plain["store_bytes"]
-    report["latency_ratio"] = (
-        compressed["batch_total_ms"] / plain["batch_total_ms"]
-    )
+    report["latency_ratio"] = compressed["total_ms"] / plain["total_ms"]
     return report
 
 
@@ -215,46 +121,8 @@ def gate_storage_report(
         )
     if storage["latency_ratio"] > max_latency_ratio:
         violations.append(
-            f"codec {storage['codec']}: batch latency "
+            f"codec {storage['codec']}: latency "
             f"{storage['latency_ratio']:.2f}x plain "
             f"(must be <= {max_latency_ratio:.2f}x)"
         )
     return violations
-
-
-def diff_reports(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    threshold: float = 0.25,
-) -> List[str]:
-    """Regressions of ``current`` against ``baseline``; empty when clean.
-
-    Only the machine-independent ratios are compared: a size's overall
-    batch-vs-tuple speedup must not drop by more than ``threshold``
-    (relative) below the baseline's, and a query's probes-saved count —
-    a pure pruning measure — must not shrink. Sizes present in only one
-    report are ignored, so the two may be run at different scales.
-    """
-    if threshold < 0:
-        raise ReproError("threshold cannot be negative")
-    regressions: List[str] = []
-    base_sizes = baseline.get("sizes", {})
-    cur_sizes = current.get("sizes", {})
-    for size in sorted(set(base_sizes) & set(cur_sizes), key=int):
-        base, cur = base_sizes[size], cur_sizes[size]
-        floor = base["speedup_overall"] * (1.0 - threshold)
-        if cur["speedup_overall"] < floor:
-            regressions.append(
-                f"size {size}: speedup {cur['speedup_overall']:.2f}x fell "
-                f"below {floor:.2f}x (baseline "
-                f"{base['speedup_overall']:.2f}x - {threshold:.0%})"
-            )
-        for qid in sorted(set(base["queries"]) & set(cur["queries"])):
-            base_saved = base["queries"][qid]["probes_saved"]
-            cur_saved = cur["queries"][qid]["probes_saved"]
-            if cur_saved < base_saved:
-                regressions.append(
-                    f"size {size} {qid}: probes_saved {cur_saved} < "
-                    f"baseline {base_saved}"
-                )
-    return regressions

@@ -1,6 +1,6 @@
 """Kernel microbenchmarks — the payload behind ``BENCH_kernels.json``.
 
-Three micros isolate the primitives the columnar rework vectorized, each
+Two micros isolate the primitives the columnar rework vectorized, each
 reported as a machine-independent *ratio* of two measurements taken in
 the same process (absolute latencies do not transfer across machines;
 ratios of the same workload do):
@@ -16,11 +16,6 @@ ratios of the same workload do):
     The page is encoded with ``none`` container codecs so the comparison
     measures reconstruction, not decompression (which both paths share).
 
-``leaf_npm``
-    End-to-end batch-vs-tuple evaluation of a ``//``-chain query (the
-    leaf-NPM + positional-join fast path) on an XMark document — the
-    user-visible composition of the other two.
-
 :func:`gate_kernels_report` enforces floor ratios chosen well below the
 measured values, so CI noise does not flake the gate while a real
 regression (a kernel silently falling back to per-element work) fails
@@ -34,10 +29,8 @@ from array import array
 from typing import Dict, Optional, Sequence
 
 from repro.bench.labeling import write_report
-from repro.bench.workloads import secured_xmark
 from repro.exec.kernels import active_kernels, available_backends
 from repro.labeling.runs import RunList
-from repro.nok.engine import QueryEngine
 from repro.storage.codecs import CompressedPageFormat
 from repro.storage.encoding import NodeEntry
 from repro.storage.headers import PageHeader
@@ -52,7 +45,6 @@ __all__ = [
 GATES = {
     "run_intersection": 1.5,
     "page_decode": 1.2,
-    "leaf_npm": 1.2,
 }
 
 
@@ -136,34 +128,11 @@ def _bench_page_decode(repeats: int) -> Dict[str, float]:
     }
 
 
-def _bench_leaf_npm(n_items: int, repeats: int) -> Dict[str, float]:
-    doc, matrix, _ = secured_xmark(n_items)
-    engine = QueryEngine.build(doc, matrix)
-    query = "//open_auction//annotation//emph"
-
-    def run(mode):
-        return engine.evaluate(query, subject=0, semantics="cho", exec_mode=mode)
-
-    batch = run("batch")
-    tuple_ = run("tuple")
-    assert batch.positions == tuple_.positions
-    batch_s = _best_of(lambda: run("batch"), repeats)
-    tuple_s = _best_of(lambda: run("tuple"), repeats)
-    return {
-        "n_items": n_items,
-        "n_answers": len(batch.positions),
-        "batch_ms": batch_s * 1000.0,
-        "tuple_ms": tuple_s * 1000.0,
-        "ratio": tuple_s / batch_s,
-    }
-
-
 def run_kernels_benchmark(
     n_positions: int = 200_000,
-    n_items: int = 120,
     repeats: int = 5,
 ) -> Dict[str, object]:
-    """Run the three micros under the active kernel backend."""
+    """Run the two micros under the active kernel backend."""
     return {
         "backend": active_kernels().name,
         "available_backends": available_backends(),
@@ -171,7 +140,6 @@ def run_kernels_benchmark(
         "micros": {
             "run_intersection": _bench_run_intersection(n_positions, repeats),
             "page_decode": _bench_page_decode(repeats),
-            "leaf_npm": _bench_leaf_npm(n_items, repeats),
         },
         "gates": dict(GATES),
     }

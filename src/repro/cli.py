@@ -28,15 +28,16 @@ Subcommands
     Probe a running server's self-reported health over the wire; the
     exit code (0/1/2 = healthy/degraded/unavailable) is scriptable.
 ``bench``
-    Run a benchmark suite. ``--suite exec`` (default) times batch vs
-    tuple execution, writes ``BENCH_exec.json``, and optionally gates
-    against a committed baseline; ``--suite classes`` measures cache
-    growth against simulated user populations (``--users``), writes
-    ``BENCH_classes.json``, and gates that every cache layer's entry
-    count is bounded by the number of access classes, not users;
-    ``--suite kernels`` runs the array-kernel micros (run intersection,
-    columnar page decode, leaf NPM) under the active backend, writes
-    ``BENCH_kernels.json``, and gates on machine-independent ratios.
+    Run a benchmark suite. ``--suite storage`` (default) builds one
+    workload as a plain and as a codec-compressed store, writes
+    ``BENCH_storage.json``, and gates on disk and latency ratios;
+    ``--suite classes`` measures cache growth against simulated user
+    populations (``--users``), writes ``BENCH_classes.json``, and gates
+    that every cache layer's entry count is bounded by the number of
+    access classes, not users; ``--suite kernels`` runs the array-kernel
+    micros (run intersection, columnar page decode) under the active
+    backend, writes ``BENCH_kernels.json``, and gates on
+    machine-independent ratios. End-to-end timings are ``perf/run.py``.
 ``serve``
     Serve secure queries and accessibility updates concurrently over a
     newline-delimited JSON TCP protocol (bounded worker pool, snapshot
@@ -55,6 +56,7 @@ from typing import List, Optional
 
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
 from repro.bench.reporting import format_table
+from repro.errors import ReproError
 from repro.labeling.classes import ClassDirectory, normalize_subjects
 from repro.labeling.registry import (
     DEFAULT_BACKEND,
@@ -225,11 +227,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         n_subjects = max(normalize_subjects(args.subject)) + 1
         matrix = generate_synthetic_acl(config=config, doc=doc, n_subjects=n_subjects)
-        engine = QueryEngine.build(
-            doc, matrix, labeling=args.labeling, exec_mode=args.exec_mode
-        )
+        engine = QueryEngine.build(doc, matrix, labeling=args.labeling)
     else:
-        engine = QueryEngine.build(doc, exec_mode=args.exec_mode)
+        engine = QueryEngine.build(doc)
 
     if args.explain:
         plan = engine.compile(
@@ -445,7 +445,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     """Exit 0 healthy, 1 degraded, 2 unavailable or unreachable."""
     import json
 
-    from repro.errors import ReproError
     from repro.server.client import ResilientClient, RetryPolicy
 
     policy = RetryPolicy(max_attempts=3, deadline_s=args.timeout)
@@ -508,65 +507,38 @@ def _cmd_verify_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.exec import (
-        diff_reports,
-        gate_storage_report,
-        run_exec_benchmark,
-        run_storage_benchmark,
-        write_report,
-    )
-
+    if args.output is None:
+        args.output = f"BENCH_{args.suite}.json"
     if args.suite == "classes":
         return _cmd_bench_classes(args)
     if args.suite == "kernels":
         return _cmd_bench_kernels(args)
-    report = run_exec_benchmark(
-        sizes=tuple(args.sizes), repeats=args.repeats,
+    from repro.bench.exec import (
+        gate_storage_report,
+        run_storage_benchmark,
+        write_report,
+    )
+
+    storage = run_storage_benchmark(
+        codec=args.storage_codec, repeats=args.repeats,
         semantics=args.semantics,
     )
-    storage_violations = []
-    if args.storage_codec != "none":
-        report["storage"] = run_storage_benchmark(
-            n_items=max(args.sizes), codec=args.storage_codec,
-            repeats=args.repeats, semantics=args.semantics,
-        )
-        storage_violations = gate_storage_report(report["storage"])
-    write_report(report, args.output)
+    write_report(storage, args.output)
     print(f"wrote {args.output}")
-    for size in sorted(report["sizes"], key=int):
-        entry = report["sizes"][size]
-        print(
-            f"  n_items={size}: tuple {entry['tuple_total_ms']:.2f}ms, "
-            f"batch {entry['batch_total_ms']:.2f}ms "
-            f"({entry['speedup_overall']:.2f}x)"
-        )
-    if "storage" in report:
-        storage = report["storage"]
-        plain = storage["variants"]["plain"]
-        compressed = storage["variants"]["compressed"]
-        print(
-            f"  storage codec {storage['codec']}: "
-            f"{compressed['store_bytes']} vs {plain['store_bytes']} bytes "
-            f"({storage['bytes_ratio']:.2f}x), batch latency "
-            f"{storage['latency_ratio']:.2f}x plain"
-        )
-        for line in storage_violations:
+    plain = storage["variants"]["plain"]
+    compressed = storage["variants"]["compressed"]
+    print(
+        f"  storage codec {storage['codec']}: "
+        f"{compressed['store_bytes']} vs {plain['store_bytes']} bytes "
+        f"({storage['bytes_ratio']:.2f}x), latency "
+        f"{storage['latency_ratio']:.2f}x plain"
+    )
+    violations = gate_storage_report(storage)
+    if violations:
+        for line in violations:
             print(f"VIOLATION: {line}")
-        if storage_violations:
-            return 1
-        print("storage-codec gate: >=25% smaller on disk, latency within 10%")
-    if args.baseline is None:
-        return 0
-    with open(args.baseline, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    regressions = diff_reports(baseline, report, threshold=args.threshold)
-    if regressions:
-        for line in regressions:
-            print(f"REGRESSION: {line}")
         return 1
-    print(f"no regressions against {args.baseline} (threshold {args.threshold:.0%})")
+    print("storage-codec gate: >=25% smaller on disk, latency within 10%")
     return 0
 
 
@@ -577,12 +549,9 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    output = (
-        args.output if args.output != "BENCH_exec.json" else "BENCH_kernels.json"
-    )
     report = run_kernels_benchmark(repeats=args.repeats)
-    write_report(report, output)
-    print(f"wrote {output}")
+    write_report(report, args.output)
+    print(f"wrote {args.output}")
     print(f"  kernel backend: {report['backend']}")
     for name, micro in report["micros"].items():
         print(f"  {name}: {micro['ratio']:.2f}x")
@@ -602,12 +571,9 @@ def _cmd_bench_classes(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    output = (
-        args.output if args.output != "BENCH_exec.json" else "BENCH_classes.json"
-    )
     report = run_class_benchmark(user_counts=tuple(args.users))
-    write_report(report, output)
-    print(f"wrote {output}")
+    write_report(report, args.output)
+    print(f"wrote {args.output}")
     for label in sorted(report["scales"], key=int):
         entry = report["scales"][label]
         print(
@@ -721,51 +687,35 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="execute, then print the plan with per-operator rows/timings",
     )
-    p_query.add_argument(
-        "--exec-mode",
-        choices=("batch", "tuple"),
-        default="batch",
-        help="operator set: vectorized batches (default) or row-at-a-time",
-    )
     p_query.set_defaults(func=_cmd_query)
 
     p_bench = sub.add_parser(
         "bench",
-        help="batch-vs-tuple execution benchmark with optional baseline gate",
+        help="ratio-gated benchmark suites (storage codec, classes, kernels)",
     )
     p_bench.add_argument(
         "--suite",
-        choices=("exec", "classes", "kernels"),
-        default="exec",
-        help="exec: batch-vs-tuple timing; classes: class-collapse "
-        "cache-growth benchmark; kernels: array-kernel micros "
-        "(run intersection, columnar decode, leaf NPM) with ratio gates",
+        choices=("storage", "classes", "kernels"),
+        default="storage",
+        help="storage: compressed-vs-plain store, disk and latency ratios; "
+        "classes: class-collapse cache-growth benchmark; kernels: "
+        "array-kernel micros (run intersection, columnar decode)",
     )
     p_bench.add_argument(
         "--users", type=int, nargs="+", default=[1_000, 10_000, 100_000],
         help="simulated-user population sizes (classes suite only)",
     )
-    p_bench.add_argument(
-        "--sizes", type=int, nargs="+", default=[40, 80, 160],
-        help="XMark n_items per benchmarked document",
-    )
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--semantics", choices=SEMANTICS, default=CHO)
-    p_bench.add_argument("-o", "--output", default="BENCH_exec.json")
     p_bench.add_argument(
-        "--baseline", default=None,
-        help="committed report to diff against (e.g. BENCH_baseline.json)",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="max relative speedup drop tolerated before failing",
+        "-o", "--output", default=None,
+        help="report path (default BENCH_<suite>.json)",
     )
     p_bench.add_argument(
         "--storage-codec",
-        choices=("structure-delta", "zlib", "none"),
+        choices=("structure-delta", "zlib"),
         default="structure-delta",
-        help="page codec for the compressed-vs-plain storage gate at the "
-        "largest size (exec suite only; none skips the gate)",
+        help="page codec compared against the plain layout (storage suite)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -898,7 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

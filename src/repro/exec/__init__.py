@@ -4,9 +4,11 @@ Compiles a parsed twig query + NoK decomposition into an explicit tree of
 composable iterator operators so results stream out incrementally —
 instead of materializing every intermediate list. See
 :mod:`repro.exec.planner` for the compilation pipeline and the
-secure-semantics plan rewrites, :mod:`repro.exec.operators` for the
-operators themselves, and :mod:`repro.exec.context` for the shared
-execution state and statistics.
+secure-semantics plan rewrites, :mod:`repro.exec.operators` for the one
+operator set (batch-at-a-time, over the array kernels of
+:mod:`repro.exec.kernels`), and :mod:`repro.exec.context` for the shared
+execution state, statistics and the view-semantics
+:class:`~repro.exec.context.PathAccessIndex`.
 """
 
 from repro.exec.context import EvalStats, ExecutionContext, OperatorStats, QueryResult

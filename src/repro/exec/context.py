@@ -5,17 +5,15 @@ compiled plan. It carries the data source (in-memory document or block
 store), the access labeling (any :class:`~repro.labeling.base.AccessLabeling`
 backend — DOL, CAM, or naive), the tag index, the secure-evaluation
 subject(s) and semantics, and the measurement state: the query-level
-:class:`EvalStats` plus the per-subject path-accessibility oracle used by
-view semantics.
+:class:`EvalStats` plus the per-subject path-accessibility oracle
+(:class:`PathAccessIndex`) used by view semantics.
 
 :class:`EvalStats` and :class:`QueryResult` are defined here (rather than
 in :mod:`repro.nok.engine`) so the operator layer does not depend on the
 engine facade; the engine re-exports both under their historical names.
 
-This module must not import from :mod:`repro.nok` at module level — the
-``nok`` package imports the engine, which imports the execution layer.
-The single ``nok`` dependency (:class:`~repro.nok.stdjoin.PathAccessIndex`)
-is imported lazily when view semantics first needs it.
+This module must not import from :mod:`repro.nok` — the ``nok`` package
+imports the engine, which imports the execution layer.
 """
 
 from __future__ import annotations
@@ -116,6 +114,56 @@ class OperatorStats:
         self.extra[counter] = self.extra.get(counter, 0) + amount
 
 
+class PathAccessIndex:
+    """Per-subject path-accessibility oracle for view-semantics joins.
+
+    For the view semantics of Gabillon–Bruno (Section 4.2) a joined pair
+    additionally requires *every node on the path* from ancestor to
+    descendant to be accessible. ``deepest_blocked[pos]`` is the document
+    position of the deepest inaccessible node on the root-to-pos path
+    (including ``pos`` itself), or ``NO_NODE`` if the whole path is
+    accessible, so the path test is O(1) per pair without extra page
+    reads. Computed in one linear scan over the document using the access
+    labeling (any backend — only per-node masks are consumed).
+    """
+
+    def __init__(self, doc: Document, labeling: AccessLabeling, subject):
+        self.doc = doc
+        n = len(doc)
+        blocked = [NO_NODE] * n
+        masks = labeling.to_masks()
+        # `subject` may be a single subject id or a collection of ids (a
+        # user's own subject plus her groups; union semantics).
+        if isinstance(subject, int):
+            bit = 1 << subject
+        else:
+            bit = 0
+            for s in subject:
+                bit |= 1 << s
+        for pos in range(n):
+            par = doc.parent[pos]
+            inherited = blocked[par] if par != NO_NODE else NO_NODE
+            blocked[pos] = pos if not masks[pos] & bit else inherited
+        self.deepest_blocked = blocked
+
+    def node_accessible(self, pos: int) -> bool:
+        return self.deepest_blocked[pos] != pos
+
+    def path_accessible(self, ancestor: int, descendant: int) -> bool:
+        """True iff every node on [ancestor, descendant] is accessible.
+
+        The deepest blocked node above ``descendant`` must be a proper
+        ancestor of ``ancestor`` (i.e. outside the joined path) or absent.
+        """
+        blocked = self.deepest_blocked[descendant]
+        if blocked == NO_NODE:
+            return True
+        # `blocked` lies on the root→descendant path; the path segment
+        # [ancestor, descendant] avoids it iff it is a *proper ancestor*
+        # of `ancestor`.
+        return blocked < ancestor < self.doc.subtree_end(blocked)
+
+
 class ExecutionContext:
     """Shared state for one plan execution.
 
@@ -128,10 +176,9 @@ class ExecutionContext:
       embedded codes (no extra I/O for backends with page hints) or the
       in-memory labeling;
     - view semantics: whole-root-path accessibility via the
-      :class:`~repro.nok.stdjoin.PathAccessIndex` (the pruned-view model).
+      :class:`PathAccessIndex` (the pruned-view model).
 
-    ``labeling`` accepts any backend; the historical ``dol=`` keyword and
-    ``.dol`` attribute remain as aliases.
+    ``labeling`` accepts any backend.
     """
 
     def __init__(
@@ -143,14 +190,9 @@ class ExecutionContext:
         subject: Optional[Subject] = None,
         semantics: str = CHO,
         strict: bool = True,
-        dol: Optional[AccessLabeling] = None,
         run_cache: Optional[RunCache] = None,
         class_id: Optional[int] = None,
     ):
-        if labeling is None:
-            labeling = dol
-        elif dol is not None and dol is not labeling:
-            raise ReproError("pass either labeling= or its alias dol=, not both")
         if semantics not in SEMANTICS:
             raise ReproError(f"unknown semantics {semantics!r}")
         if subject is not None and labeling is None:
@@ -183,11 +225,6 @@ class ExecutionContext:
         #: standalone context gets a private one on first use
         self._run_cache = run_cache
         self._run_list: Optional[RunList] = None
-
-    @property
-    def dol(self) -> Optional[AccessLabeling]:
-        """Historical alias for :attr:`labeling` (any backend, not only DOL)."""
-        return self.labeling
 
     # -- data source -------------------------------------------------------
 
@@ -246,8 +283,6 @@ class ExecutionContext:
     def path_index(self):
         """Per-subject path-accessibility oracle (view semantics only)."""
         if self._path_index is None:
-            from repro.nok.stdjoin import PathAccessIndex
-
             if self.subject is None:
                 raise ReproError("path index requires a subject")
             self._path_index = PathAccessIndex(self.doc, self.labeling, self.subject)

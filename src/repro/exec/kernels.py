@@ -1,6 +1,6 @@
 """Array-kernel registry: the compute primitives behind batch execution.
 
-The vectorized operators (:mod:`repro.exec.batch`) and the run-list
+The operators (:mod:`repro.exec.operators`) and the run-list
 intersection (:meth:`repro.labeling.runs.RunList.filter_positions`) hand
 their inner loops to this module. Every primitive takes and returns
 plain ``array('q')`` / ``array('H')`` buffers, so two interchangeable

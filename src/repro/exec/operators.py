@@ -1,43 +1,118 @@
 """Volcano-style physical operators for secure NoK query evaluation.
 
 Each operator is an iterator factory: :meth:`Operator.execute` returns a
-generator that pulls rows lazily from its children, so results stream out
-of the plan incrementally — a :class:`Limit` near the root stops the
-entire pipeline after ``k`` rows, touching only the candidates, pages and
-access checks needed to produce them.
+generator that pulls *batches* of rows lazily from its children, so
+results stream out of the plan incrementally — a :class:`Limit` near the
+root stops the entire pipeline after ``k`` rows, touching only the
+candidates, pages and access checks needed to produce them. Moving a
+batch rather than a row per generator hop amortizes interpreter dispatch
+and the two clock reads of instrumentation over the whole batch.
 
-Row types are uniform per plan edge:
+Batch types are uniform per plan edge:
 
 - scan-level operators (:class:`TagIndexScan`, :class:`PageSkipScan`,
-  :class:`RootVerify`, :class:`AccessFilter`) produce candidate document
-  positions (``int``);
-- :class:`NPMMatch` turns candidate positions into binding dicts
-  (``id(pattern node) -> position``);
-- :class:`STDJoin` and :class:`PathCheck` consume and produce bindings;
+  :class:`RootVerify`, :class:`AccessFilter`) produce sorted
+  ``array('q')`` batches of candidate document positions;
+  :class:`TagIndexScan` emits them with doubling sizes (32 up to 1024),
+  so a ``Limit`` still touches only a prefix of the candidates;
+- :class:`NPMMatch` turns candidate batches into binding batches: a
+  :class:`ColumnBatch` of position columns when every binding is
+  positional (the ``//``-chain case), a list of binding dicts
+  (``id(pattern node) -> position``) for full NPM matches;
+- :class:`STDJoin` and :class:`PathCheck` consume and produce binding
+  batches, staying columnar whenever both inputs are;
 - :class:`Project` reduces bindings to distinct returning-node positions.
 
-Every operator records :class:`~repro.exec.context.OperatorStats` (rows
-out, inclusive time, operator-specific counters), which ``EXPLAIN
-ANALYZE`` renders per plan node.
+:class:`AccessFilter` and the hint-free :class:`PageSkipScan` route
+intersect whole batches against the query's decoded accessibility run
+list (:meth:`~repro.exec.context.ExecutionContext.run_list`) through the
+active array kernel (:mod:`repro.exec.kernels`); :class:`RootVerify` and
+:class:`STDJoin` use the same kernels over page tag columns and sorted
+position arrays.
+
+Every operator records :class:`~repro.exec.context.OperatorStats`
+(``rows_out`` counts rows, ``extra['batches']`` the batches that carried
+them, ``time`` is inclusive), which ``EXPLAIN ANALYZE`` renders per plan
+node together with rows-per-batch.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from typing import Dict, Iterator, List
+from array import array
+from bisect import bisect_left
+from itertools import chain
+from typing import Dict, Iterator, List, Tuple, Union
 
 from repro.errors import PageCorruptionError
 from repro.exec.context import ExecutionContext, OperatorStats
+from repro.exec.kernels import active_kernels
 from repro.nok.decompose import NoKSubtree
 from repro.nok.matcher import Binding, match_nok_subtree
-from repro.nok.pattern import PatternNode
+from repro.nok.pattern import CHILD, PatternNode
+from repro.secure.semantics import VIEW
 
-Row = object
+#: First batch a scan emits; each subsequent batch doubles up to the max,
+#: so early-terminating plans (Limit) touch few candidates while long
+#: scans amortize per-batch overhead.
+MIN_BATCH_SIZE = 32
+MAX_BATCH_SIZE = 1024
+
+
+class ColumnBatch:
+    """A binding batch as parallel position columns — no dicts.
+
+    ``keys`` are the bound pattern-node ids and ``columns`` the matching
+    ``array('q')`` position columns; row ``i`` is the binding
+    ``{keys[k]: columns[k][i]}``. ``n`` is explicit so a batch of
+    empty bindings (no bound keys) still knows its row count.
+
+    Operators that understand the positional form work on the columns
+    directly; anything else calls :meth:`bindings` to materialize the
+    dict rows — the two representations are interchangeable by
+    construction.
+    """
+
+    __slots__ = ("keys", "columns", "n")
+
+    def __init__(
+        self, keys: Tuple[int, ...], columns: Tuple[array, ...], n: int
+    ):
+        self.keys = keys
+        self.columns = columns
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, item) -> "ColumnBatch":
+        if not isinstance(item, slice):
+            raise TypeError("ColumnBatch supports slice access only")
+        columns = tuple(col[item] for col in self.columns)
+        n = len(columns[0]) if columns else len(range(*item.indices(self.n)))
+        return ColumnBatch(self.keys, columns, n)
+
+    def column(self, key: int) -> array:
+        return self.columns[self.keys.index(key)]
+
+    def bindings(self) -> List[Binding]:
+        """Materialize the dict-row view (the fallback interop path)."""
+        if not self.keys:
+            return [{} for _ in range(self.n)]
+        keys = self.keys
+        return [dict(zip(keys, row)) for row in zip(*self.columns)]
+
+
+#: what binding-level plan edges may carry
+BindingBatch = Union[ColumnBatch, List[Binding]]
+
+
+def _as_bindings(batch: BindingBatch) -> List[Binding]:
+    return batch.bindings() if isinstance(batch, ColumnBatch) else batch
 
 
 class Operator:
-    """Base class: a plan node with children, stats, and a row generator."""
+    """Base class: a plan node with children, stats, and a batch generator."""
 
     name = "Operator"
 
@@ -49,25 +124,30 @@ class Operator:
     def child(self) -> "Operator":
         return self.children[0]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Open the operator and return its (instrumented) row stream."""
+    def execute(self, ctx: ExecutionContext) -> Iterator:
+        """Open the operator and return its (instrumented) batch stream."""
         self.stats.executions += 1
         return self._instrumented(ctx)
 
-    def _instrumented(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def _instrumented(self, ctx: ExecutionContext) -> Iterator:
+        """Two clock reads per batch; ``rows_out`` counts the rows inside."""
         rows = self._rows(ctx)
+        stats = self.stats
+        perf = time.perf_counter
         while True:
-            started = time.perf_counter()
+            started = perf()
             try:
-                row = next(rows)
+                batch = next(rows)
             except StopIteration:
-                self.stats.time += time.perf_counter() - started
+                stats.time += perf() - started
                 return
-            self.stats.time += time.perf_counter() - started
-            self.stats.rows_out += 1
-            yield row
+            stats.time += perf() - started
+            stats.rows_out += len(batch)
+            stats.bump("batches")
+            yield batch
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator:
+        """Yield this operator's non-empty batches."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -88,8 +168,7 @@ class StaticEmpty(Operator):
     set's access class is fully denied over the document: the decoded
     run list has no accessible position, so no candidate could survive
     an access filter. The operator yields nothing — no scan, no page
-    reads, no access checks. ``emits_batches`` stays False, which is
-    correct in both execution modes (an empty stream has no batches).
+    reads, no access checks.
     """
 
     name = "StaticEmpty"
@@ -98,7 +177,7 @@ class StaticEmpty(Operator):
         super().__init__()
         self.reason = reason
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator:
         return iter(())
 
     def describe(self) -> str:
@@ -111,7 +190,8 @@ class TagIndexScan(Operator):
     ``anchored=True`` marks the query root under a ``/`` root axis: the
     only candidate is document position 0 (checked against the tag test).
     Wildcard roots scan every position; value-constrained roots use the
-    (tag, text) index. Every emitted candidate is counted in
+    (tag, text) index. Candidates leave as ``array('q')`` batches with
+    doubling sizes; every emitted candidate is counted in
     ``EvalStats.candidates``.
     """
 
@@ -122,12 +202,12 @@ class TagIndexScan(Operator):
         self.pnode = pnode
         self.anchored = anchored
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[int]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
         pnode, doc, stats = self.pnode, ctx.doc, ctx.stats
         if self.anchored:
             if pnode.matches(doc.tag_name(0), doc.text(0)):
                 stats.candidates += 1
-                yield 0
+                yield array("q", (0,))
             return
         if pnode.tag == "*":
             positions: "range | List[int]" = range(len(doc))
@@ -135,9 +215,15 @@ class TagIndexScan(Operator):
             positions = ctx.index.positions_with_value(pnode.tag, pnode.value)
         else:
             positions = ctx.index.positions(pnode.tag)
-        for pos in positions:
-            stats.candidates += 1
-            yield pos
+        total = len(positions)
+        start = 0
+        size = MIN_BATCH_SIZE
+        while start < total:
+            batch = array("q", positions[start : start + size])
+            stats.candidates += len(batch)
+            start += len(batch)
+            size = min(size * 2, MAX_BATCH_SIZE)
+            yield batch
 
     def describe(self) -> str:
         detail = f"<{self.pnode.tag}>"
@@ -156,39 +242,59 @@ class PageSkipScan(Operator):
     here at zero I/O cost. Inserted by the secure rewrites only when the
     plan runs over a :class:`~repro.storage.nokstore.NoKStore`.
 
-    The header test requires a labeling backend with page hints (the
-    DOL's embedded transition codes). Hint-free backends (CAM, naive)
-    take the bulk route instead: each candidate is tested against the
-    query's decoded accessibility run list — every node was decided once
-    at run-decode time, so no candidate reaches :class:`AccessFilter`
-    only to be re-probed and rejected. The quarantine check (degraded
-    mode) applies either way.
+    Candidate batches arrive sorted, so each batch splits into runs of
+    positions sharing a page; the quarantine (degraded mode) and header
+    tests run once per group, header verdicts additionally memoized for
+    the query. The header test requires a labeling backend with page
+    hints (the DOL's embedded transition codes). Hint-free backends (CAM,
+    naive) take the bulk route instead: the surviving batch is
+    intersected against the query's decoded accessibility run list
+    through the array kernel — every node was decided once at run-decode
+    time, so no candidate reaches :class:`AccessFilter` only to be
+    re-probed and rejected.
     """
 
     name = "PageSkipScan"
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[int]:
-        store, subjects = ctx.store, ctx.subjects
+    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
+        store, subjects, stats = ctx.store, ctx.subjects, ctx.stats
         has_hints = store.has_page_hints
         run_list = None if has_hints else ctx.run_list()
-        for pos in self.child.execute(ctx):
-            page_id = store.page_of(pos)
-            if not ctx.strict and page_id in store.quarantined:
-                # Degraded mode: the page already failed verification
-                # this query; skip its candidates without re-reading it.
-                ctx.stats.candidates_skipped_corrupt += 1
-                self.stats.bump("skipped_corrupt")
-                continue
-            if has_hints and store.page_fully_inaccessible_any(page_id, subjects):
-                ctx.stats.candidates_skipped_by_header += 1
-                self.stats.bump("skipped")
-                continue
-            if run_list is not None and not run_list.is_accessible(pos):
-                ctx.stats.candidates_skipped_by_runs += 1
-                ctx.stats.probes_saved += 1
-                self.stats.bump("skipped_runs")
-                continue
-            yield pos
+        entries_per_page = store.entries_per_page
+        header_skips: Dict[int, bool] = {}
+        for batch in self.child.execute(ctx):
+            out = array("q")
+            i, n = 0, len(batch)
+            while i < n:
+                page_id = batch[i] // entries_per_page
+                j = bisect_left(batch, (page_id + 1) * entries_per_page, i)
+                count = j - i
+                if not ctx.strict and page_id in store.quarantined:
+                    stats.candidates_skipped_corrupt += count
+                    self.stats.bump("skipped_corrupt", count)
+                elif has_hints:
+                    skip = header_skips.get(page_id)
+                    if skip is None:
+                        skip = store.page_fully_inaccessible_any(page_id, subjects)
+                        header_skips[page_id] = skip
+                    if skip:
+                        stats.candidates_skipped_by_header += count
+                        self.stats.bump("skipped", count)
+                    else:
+                        out.extend(batch[i:j])
+                else:
+                    out.extend(batch[i:j])
+                i = j
+            if run_list is not None and out:
+                kept = run_list.filter_positions(out)
+                dropped = len(out) - len(kept)
+                if dropped:
+                    stats.candidates_skipped_by_runs += dropped
+                    stats.probes_saved += dropped
+                    self.stats.bump("skipped_runs", dropped)
+                out = kept
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "header table"
@@ -200,6 +306,13 @@ class RootVerify(Operator):
     The index only supplied a position; re-checking the tag/value and
     attribute tests against the source loads the candidate's page —
     exactly the read a NoK evaluator performs before matching can start.
+
+    In memory the common case (tag test only) is a straight comparison
+    against the document's tag-id array. Over a store each page group
+    costs one decoded-page fetch, and the tag test reads the page's
+    columnar tag array directly — no :class:`NodeEntry` objects. A
+    corrupt page drops its whole group (reported through the usual
+    degradation path).
     """
 
     name = "RootVerify"
@@ -208,20 +321,86 @@ class RootVerify(Operator):
         super().__init__(child)
         self.pnode = pnode
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[int]:
-        pnode, source = self.pnode, ctx.source
-        for pos in self.child.execute(ctx):
-            try:
-                if not pnode.matches(source.tag_name(pos), source.text(pos)):
+    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
+        pnode = self.pnode
+        simple = pnode.value is None and not pnode.attr_tests
+        if ctx.store is None:
+            yield from self._verify_memory(ctx, simple)
+        else:
+            yield from self._verify_store(ctx, simple)
+
+    def _verify_memory(self, ctx: ExecutionContext, simple: bool) -> Iterator[array]:
+        pnode, doc = self.pnode, ctx.doc
+        if simple and pnode.tag == "*":
+            yield from self.child.execute(ctx)
+            return
+        if simple:
+            tag_id = doc.tag_dict.get(pnode.tag)
+            tags = doc.tags
+            for batch in self.child.execute(ctx):
+                kept = array("q", [pos for pos in batch if tags[pos] == tag_id])
+                if kept:
+                    yield kept
+            return
+        for batch in self.child.execute(ctx):
+            kept = array("q")
+            for pos in batch:
+                if not pnode.matches(doc.tag_name(pos), doc.text(pos)):
                     continue
-                if pnode.attr_tests and not pnode.matches_attrs(
-                    source.attrs_of(pos)
-                ):
+                if pnode.attr_tests and not pnode.matches_attrs(doc.attrs_of(pos)):
                     continue
-            except PageCorruptionError as exc:
-                ctx.report_corruption(exc)  # raises when ctx.strict
-                continue
-            yield pos
+                kept.append(pos)
+            if kept:
+                yield kept
+
+    def _verify_store(self, ctx: ExecutionContext, simple: bool) -> Iterator[array]:
+        pnode, store = self.pnode, ctx.store
+        doc = ctx.doc
+        kernels = active_kernels()
+        wildcard = pnode.tag == "*"
+        tag_id = None if wildcard else doc.tag_dict.get(pnode.tag)
+        name_of = doc.tag_dict.name_of
+        entries_per_page = store.entries_per_page
+        for batch in self.child.execute(ctx):
+            kept = array("q")
+            i, n = 0, len(batch)
+            while i < n:
+                page_id = batch[i] // entries_per_page
+                j = bisect_left(batch, (page_id + 1) * entries_per_page, i)
+                try:
+                    columns = store.page_columns(page_id)
+                except PageCorruptionError as exc:
+                    ctx.report_corruption(exc)  # raises when ctx.strict
+                    # report_corruption counted one candidate; the rest
+                    # of this page group is dropped with it.
+                    ctx.stats.candidates_skipped_corrupt += j - i - 1
+                    i = j
+                    continue
+                base = page_id * entries_per_page
+                tags = columns.tags
+                if simple and wildcard:
+                    kept.extend(batch[i:j])
+                elif simple:
+                    if tag_id is not None:
+                        kept.extend(
+                            kernels.take_eq(batch[i:j], tags, tag_id, base)
+                        )
+                else:
+                    for k in range(i, j):
+                        pos = batch[k]
+                        entry_tag = tags[pos - base]
+                        if not wildcard and entry_tag != tag_id:
+                            continue
+                        if not pnode.matches(name_of(entry_tag), store.text(pos)):
+                            continue
+                        if pnode.attr_tests and not pnode.matches_attrs(
+                            store.attrs_of(pos)
+                        ):
+                            continue
+                        kept.append(pos)
+                i = j
+            if kept:
+                yield kept
 
     def describe(self) -> str:
         return f"<{self.pnode.tag}>"
@@ -231,25 +410,32 @@ class AccessFilter(Operator):
     """The ε-NoK ACCESS pre-condition on candidate roots (Algorithm 1).
 
     Under Cho semantics the check is node-level accessibility; under view
-    semantics the context's ACCESS function is already path-based, making
-    this the Gabillon–Bruno pruned-view test. Inserted only by the secure
-    rewrites — non-secure plans carry no filter at all.
+    semantics the run list is already path-based, making this the
+    Gabillon–Bruno pruned-view test. Inserted only by the secure rewrites
+    — non-secure plans carry no filter at all.
+
+    Instead of probing each candidate, the sorted batch is intersected
+    against the accessible intervals of the query's run list — one array
+    kernel call per batch. Checks are still counted per candidate in
+    ``stats.access_checks``.
     """
 
     name = "AccessFilter"
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[int]:
-        access = ctx.access
-        for pos in self.child.execute(ctx):
-            try:
-                granted = access(pos)
-            except PageCorruptionError as exc:
-                ctx.report_corruption(exc)  # raises when ctx.strict
-                continue
-            if granted:
-                yield pos
-            else:
-                self.stats.bump("denied")
+    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
+        run_list = ctx.run_list()  # never None: only secure plans carry a filter
+        stats = ctx.stats
+        count_probes = ctx.semantics != VIEW
+        for batch in self.child.execute(ctx):
+            kept = run_list.filter_positions(batch)
+            n, k = len(batch), len(kept)
+            stats.access_checks += n
+            if count_probes:
+                stats.probes_saved += n
+            if k < n:
+                self.stats.bump("denied", n - k)
+            if k:
+                yield kept
 
     def describe(self) -> str:
         return "ε-NoK pre-condition"
@@ -259,9 +445,16 @@ class NPMMatch(Operator):
     """ε-NoK next-of-kin pattern matching of one NoK subtree.
 
     For each (verified, access-checked) candidate root it enumerates the
-    output-node bindings via :func:`~repro.nok.matcher.match_nok_subtree`
-    and streams them out one by one. With ``ordered=True`` pattern
-    children must bind to data siblings in pattern order.
+    output-node bindings via :func:`~repro.nok.matcher.match_nok_subtree`.
+    With ``ordered=True`` pattern children must bind to data siblings in
+    pattern order.
+
+    A single-node NoK subtree (the common shape under ``//``-chained
+    queries: every step its own subtree, folded by structural joins)
+    matches trivially — the candidate already passed the tag and access
+    tests, so the binding is just ``{root: pos}``. That case emits the
+    position batch as a :class:`ColumnBatch` — the candidate array
+    *becomes* the binding column, zero per-row work and no access calls.
     """
 
     name = "NPMMatch"
@@ -271,16 +464,30 @@ class NPMMatch(Operator):
         self.subtree = subtree
         self.ordered = ordered
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Binding]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator[BindingBatch]:
         source, subtree, ordered = ctx.source, self.subtree, self.ordered
+        root = subtree.root
+        if not any(axis == CHILD for axis in root.axes):
+            key = id(root)
+            bound = any(node is root for node in subtree.output_nodes)
+            for batch in self.child.execute(ctx):
+                if bound:
+                    yield ColumnBatch((key,), (batch,), len(batch))
+                else:
+                    yield ColumnBatch((), (), len(batch))
+            return
         access = ctx.access
-        for pos in self.child.execute(ctx):
-            try:
-                yield from match_nok_subtree(source, subtree, pos, access, ordered)
-            except PageCorruptionError as exc:
-                # The match walked onto a corrupt page: drop this
-                # candidate's (possibly partial) bindings.
-                ctx.report_corruption(exc)  # raises when ctx.strict
+        for batch in self.child.execute(ctx):
+            out: List[Binding] = []
+            for pos in batch:
+                try:
+                    out.extend(
+                        match_nok_subtree(source, subtree, pos, access, ordered)
+                    )
+                except PageCorruptionError as exc:
+                    ctx.report_corruption(exc)  # raises when ctx.strict
+            if out:
+                yield out
 
     def describe(self) -> str:
         detail = f"subtree {self.subtree.index} root <{self.subtree.root.tag}>"
@@ -292,13 +499,17 @@ class NPMMatch(Operator):
 class STDJoin(Operator):
     """Structural ancestor–descendant join of two binding streams.
 
-    The descendant (build) side is materialized and grouped by the
-    child-subtree root's position; the ancestor (probe) side then streams
-    through, each binding probing the sorted descendant positions with
-    the preorder interval test ``a < d < subtree_end(a)`` — producing
-    exactly the proper-AD pairs of Stack-Tree-Desc while keeping the
-    probe side fully pipelined. Duplicate merged bindings are suppressed,
-    matching the engine's historical join semantics.
+    The descendant (build) side is materialized and its positions frozen
+    into one sorted ``array('q')``; the ancestor (probe) side then
+    streams through, each probe batch resolving every anchor's
+    descendant slice — the preorder interval test
+    ``a < d < subtree_end(a)``, exactly the proper-AD pairs of
+    Stack-Tree-Desc — in one kernel call (vectorized ``searchsorted``
+    under numpy, a bisect gallop under stdlib). When both inputs are
+    positional (:class:`ColumnBatch`), the joined rows stay positional —
+    column concatenation plus a tuple-keyed dedup — and no binding dicts
+    exist until :class:`Project`. Mixed or dict-shaped inputs merge as
+    dicts. Duplicate merged bindings are suppressed either way.
     """
 
     name = "STDJoin"
@@ -316,31 +527,133 @@ class STDJoin(Operator):
         self.parent_key = id(parent_node)
         self.child_key = id(child_root)
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Binding]:
-        descendants_of: Dict[int, List[Binding]] = {}
-        for binding in self.children[1].execute(ctx):
-            descendants_of.setdefault(binding[self.child_key], []).append(binding)
-        self.stats.bump("build_rows", sum(map(len, descendants_of.values())))
-        if not descendants_of:
+    def _rows(self, ctx: ExecutionContext) -> Iterator[BindingBatch]:
+        build_batches = list(self.children[1].execute(ctx))
+        n_build = sum(len(batch) for batch in build_batches)
+        self.stats.bump("build_rows", n_build)
+        if n_build == 0:
             return  # empty build side: never pull the probe side
-        desc_positions = sorted(descendants_of)
-        subtree_end = ctx.doc.subtree_end
+        probe = self.children[0].execute(ctx)
+        first = next(probe, None)
+        if first is None:
+            return
+        probe_stream = chain([first], probe)
+        if self._positional(first, build_batches):
+            yield from self._join_columns(ctx, build_batches, first, probe_stream)
+        else:
+            yield from self._join_dicts(ctx, build_batches, probe_stream)
+
+    def _positional(
+        self, first_probe: BindingBatch, build_batches: List[BindingBatch]
+    ) -> bool:
+        """True when both sides can join column-wise (disjoint keys)."""
+        if not isinstance(first_probe, ColumnBatch):
+            return False
+        if self.parent_key not in first_probe.keys:
+            return False
+        for batch in build_batches:
+            if not isinstance(batch, ColumnBatch):
+                return False
+            if self.child_key not in batch.keys:
+                return False
+            if set(batch.keys) & set(first_probe.keys):
+                return False
+        return True
+
+    def _join_columns(
+        self,
+        ctx: ExecutionContext,
+        build_batches: List[ColumnBatch],
+        first_probe: ColumnBatch,
+        probe_stream,
+    ) -> Iterator[ColumnBatch]:
+        build_keys = build_batches[0].keys
+        build_cols = [array("q") for _ in build_keys]
+        for batch in build_batches:
+            for slot, key in enumerate(build_keys):
+                build_cols[slot].extend(batch.column(key))
+        ck_slot = build_keys.index(self.child_key)
+        ck = build_cols[ck_slot]
+        if any(ck[i] > ck[i + 1] for i in range(len(ck) - 1)):
+            order = sorted(range(len(ck)), key=ck.__getitem__)
+            build_cols = [
+                array("q", (col[i] for i in order)) for col in build_cols
+            ]
+            ck = build_cols[ck_slot]
+        kernels = active_kernels()
+        subtree = ctx.doc.subtree
+        parent_key = self.parent_key
+        probe_keys = first_probe.keys
+        out_keys = probe_keys + build_keys
+        seen = set()
+        for pbatch in probe_stream:
+            anchors = pbatch.column(parent_key)
+            ends = array("q", (pos + subtree[pos] for pos in anchors))
+            los, his = kernels.join_ranges(anchors, ends, ck)
+            pcols = pbatch.columns
+            rows_out: List[tuple] = []
+            if len(pcols) == 1 and len(build_cols) == 1:
+                # the ``//``-chain shape: one bound column a side
+                pk, bk = pcols[0], build_cols[0]
+                for r, (lo, hi) in enumerate(zip(los, his)):
+                    if lo >= hi:
+                        continue
+                    anchor = pk[r]
+                    for b in range(lo, hi):
+                        row = (anchor, bk[b])
+                        if row not in seen:
+                            seen.add(row)
+                            rows_out.append(row)
+            else:
+                for r, (lo, hi) in enumerate(zip(los, his)):
+                    if lo >= hi:
+                        continue
+                    prow = tuple(col[r] for col in pcols)
+                    for b in range(lo, hi):
+                        row = prow + tuple(col[b] for col in build_cols)
+                        if row not in seen:
+                            seen.add(row)
+                            rows_out.append(row)
+            if rows_out:
+                yield ColumnBatch(
+                    out_keys,
+                    tuple(array("q", col) for col in zip(*rows_out)),
+                    len(rows_out),
+                )
+
+    def _join_dicts(
+        self,
+        ctx: ExecutionContext,
+        build_batches: List[BindingBatch],
+        probe_stream,
+    ) -> Iterator[List[Binding]]:
+        descendants_of: Dict[int, List[Binding]] = {}
+        for batch in build_batches:
+            for binding in _as_bindings(batch):
+                descendants_of.setdefault(binding[self.child_key], []).append(
+                    binding
+                )
+        desc_positions = array("q", sorted(descendants_of))
+        kernels = active_kernels()
+        subtree = ctx.doc.subtree
         parent_key = self.parent_key
         seen = set()
-        for m in self.children[0].execute(ctx):
-            anchor = m[parent_key]
-            end = subtree_end(anchor)
-            lo = bisect_right(desc_positions, anchor)
-            for i in range(lo, len(desc_positions)):
-                d = desc_positions[i]
-                if d >= end:
-                    break
-                for dm in descendants_of[d]:
-                    combined = {**m, **dm}
-                    key = frozenset(combined.items())
-                    if key not in seen:
-                        seen.add(key)
-                        yield combined
+        for batch in probe_stream:
+            rows = _as_bindings(batch)
+            anchors = array("q", (m[parent_key] for m in rows))
+            ends = array("q", (pos + subtree[pos] for pos in anchors))
+            los, his = kernels.join_ranges(anchors, ends, desc_positions)
+            out: List[Binding] = []
+            for m, lo, hi in zip(rows, los, his):
+                for i in range(lo, hi):
+                    for dm in descendants_of[desc_positions[i]]:
+                        combined = {**m, **dm}
+                        key = frozenset(combined.items())
+                        if key not in seen:
+                            seen.add(key)
+                            out.append(combined)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return f"<{self.parent_node.tag}> // <{self.child_root.tag}>"
@@ -353,6 +666,8 @@ class PathCheck(Operator):
     the path between them is accessible — the Gabillon–Bruno condition,
     answered in O(1) per pair by the precomputed deepest-blocked-ancestor
     index. Inserted above every :class:`STDJoin` by the view rewrite.
+    Positional batches are filtered column-wise (the surviving rows stay
+    positional).
     """
 
     name = "PathCheck"
@@ -362,14 +677,40 @@ class PathCheck(Operator):
         self.parent_key = child.parent_key
         self.child_key = child.child_key
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Binding]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator[BindingBatch]:
         path_ok = ctx.path_index.path_accessible
         parent_key, child_key = self.parent_key, self.child_key
-        for m in self.child.execute(ctx):
-            if path_ok(m[parent_key], m[child_key]):
-                yield m
-            else:
-                self.stats.bump("pruned")
+        for batch in self.child.execute(ctx):
+            if isinstance(batch, ColumnBatch):
+                parents = batch.column(parent_key)
+                children = batch.column(child_key)
+                keep = [
+                    i
+                    for i in range(len(batch))
+                    if path_ok(parents[i], children[i])
+                ]
+                pruned = len(batch) - len(keep)
+                if pruned:
+                    self.stats.bump("pruned", pruned)
+                if keep:
+                    if pruned:
+                        yield ColumnBatch(
+                            batch.keys,
+                            tuple(
+                                array("q", (col[i] for i in keep))
+                                for col in batch.columns
+                            ),
+                            len(keep),
+                        )
+                    else:
+                        yield batch
+                continue
+            out = [m for m in batch if path_ok(m[parent_key], m[child_key])]
+            pruned = len(batch) - len(out)
+            if pruned:
+                self.stats.bump("pruned", pruned)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return "ε-STD path accessibility"
@@ -380,6 +721,9 @@ class Project(Operator):
 
     Counts incoming bindings in ``extra['bindings_in']`` so the facade can
     report ``QueryResult.n_bindings`` without a blocking materialization.
+    Positional batches project straight off the returning column — the
+    first (and only) place a ``//``-chain pipeline touches per-row
+    Python values.
     """
 
     name = "Project"
@@ -389,22 +733,32 @@ class Project(Operator):
         self.returning_node = returning_node
         self.returning_key = id(returning_node)
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[int]:
+    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
         seen = set()
         key = self.returning_key
-        for binding in self.child.execute(ctx):
-            self.stats.bump("bindings_in")
-            pos = binding[key]
-            if pos not in seen:
-                seen.add(pos)
-                yield pos
+        for batch in self.child.execute(ctx):
+            self.stats.bump("bindings_in", len(batch))
+            out = array("q")
+            if isinstance(batch, ColumnBatch):
+                for pos in batch.column(key):
+                    if pos not in seen:
+                        seen.add(pos)
+                        out.append(pos)
+            else:
+                for binding in batch:
+                    pos = binding[key]
+                    if pos not in seen:
+                        seen.add(pos)
+                        out.append(pos)
+            if out:
+                yield out
 
     def describe(self) -> str:
         return f"returning <{self.returning_node.tag}>"
 
 
 class Limit(Operator):
-    """Stop the pipeline after ``k`` rows (early termination)."""
+    """Stop the pipeline after ``k`` rows, truncating the final batch."""
 
     name = "Limit"
 
@@ -412,14 +766,18 @@ class Limit(Operator):
         super().__init__(child)
         self.k = k
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.k <= 0:
+    def _rows(self, ctx: ExecutionContext):
+        k = self.k
+        if k <= 0:
             return
         emitted = 0
-        for row in self.child.execute(ctx):
-            yield row
-            emitted += 1
-            if emitted >= self.k:
+        for batch in self.child.execute(ctx):
+            remaining = k - emitted
+            if len(batch) > remaining:
+                batch = batch[:remaining]
+            emitted += len(batch)
+            yield batch
+            if emitted >= k:
                 return
 
     def describe(self) -> str:

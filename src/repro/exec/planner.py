@@ -35,11 +35,8 @@ timings).
 from __future__ import annotations
 
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Callable, Iterator, List, Optional, Union
 
-from repro.errors import ReproError
-from repro.exec.batch import BATCH_OPERATORS
 from repro.exec.context import ExecutionContext, QueryResult
 from repro.exec.kernels import active_kernels
 from repro.exec.operators import (
@@ -58,24 +55,6 @@ from repro.exec.operators import (
 from repro.nok.decompose import Decomposition, decompose
 from repro.nok.pattern import CHILD, PatternTree, parse_query
 from repro.secure.semantics import VIEW
-
-#: The classic one-row-per-hop operator set. The batch set
-#: (:data:`repro.exec.batch.BATCH_OPERATORS`) mirrors it name for name
-#: with subclasses, so plan *shape* is identical in both modes and only
-#: the row granularity differs.
-TUPLE_OPERATORS = SimpleNamespace(
-    TagIndexScan=TagIndexScan,
-    PageSkipScan=PageSkipScan,
-    RootVerify=RootVerify,
-    AccessFilter=AccessFilter,
-    NPMMatch=NPMMatch,
-    STDJoin=STDJoin,
-    PathCheck=PathCheck,
-    Project=Project,
-    Limit=Limit,
-)
-
-EXEC_MODES = {"batch": BATCH_OPERATORS, "tuple": TUPLE_OPERATORS}
 
 
 class PhysicalPlan:
@@ -113,12 +92,8 @@ class PhysicalPlan:
         io_before = self.ctx.io_snapshot()
         self.ctx.stats.kernel_backend = active_kernels().name
         try:
-            rows = self.root.execute(self.ctx)
-            if getattr(self.root, "emits_batches", False):
-                for batch in rows:
-                    yield from batch
-            else:
-                yield from rows
+            for batch in self.root.execute(self.ctx):
+                yield from batch
         finally:
             io_after = self.ctx.io_snapshot()
             stats = self.ctx.stats
@@ -174,10 +149,7 @@ class PhysicalPlan:
         self, op: Operator, depth: int, analyze: bool, lines: List[str]
     ) -> None:
         detail = op.describe()
-        name = op.name
-        if getattr(op, "emits_batches", False):
-            name += "[batch]"
-        text = "  " * depth + ("-> " if depth else "") + name
+        text = "  " * depth + ("-> " if depth else "") + op.name
         if detail:
             text += f" [{detail}]"
         if analyze:
@@ -205,32 +177,27 @@ def _transform(op: Operator, fn: Callable[[Operator], Operator]) -> Operator:
     return fn(op)
 
 
-def apply_cho_rewrite(
-    root: Operator, ctx: ExecutionContext, ops=TUPLE_OPERATORS
-) -> Operator:
+def apply_cho_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
     """Cho et al. secure semantics as a plan transformation.
 
     Every candidate root gains the ε-NoK ACCESS pre-condition
     (:class:`AccessFilter`); over a block store every scan gains
     header-driven page skipping (:class:`PageSkipScan`). Joins need
     nothing extra — every binding delivered by ε-NoK already passed its
-    node-level check. ``ops`` selects the operator set to insert (tuple
-    or batch), matching whichever set built the tree.
+    node-level check.
     """
 
     def rewrite(op: Operator) -> Operator:
         if isinstance(op, TagIndexScan) and ctx.store is not None:
-            return ops.PageSkipScan(op)
+            return PageSkipScan(op)
         if isinstance(op, RootVerify):
-            return ops.AccessFilter(op)
+            return AccessFilter(op)
         return op
 
     return _transform(root, rewrite)
 
 
-def apply_view_rewrite(
-    root: Operator, ctx: ExecutionContext, ops=TUPLE_OPERATORS
-) -> Operator:
+def apply_view_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
     """Gabillon–Bruno view semantics as a plan transformation.
 
     Same filter/skip insertions as the Cho rewrite — but the context's
@@ -240,31 +207,21 @@ def apply_view_rewrite(
 
     def rewrite(op: Operator) -> Operator:
         if isinstance(op, TagIndexScan) and ctx.store is not None:
-            return ops.PageSkipScan(op)
+            return PageSkipScan(op)
         if isinstance(op, RootVerify):
-            return ops.AccessFilter(op)
+            return AccessFilter(op)
         if isinstance(op, STDJoin):
-            return ops.PathCheck(op)
+            return PathCheck(op)
         return op
 
     return _transform(root, rewrite)
 
 
 class Planner:
-    """Compiles pattern trees into :class:`PhysicalPlan` objects.
+    """Compiles pattern trees into :class:`PhysicalPlan` objects."""
 
-    ``exec_mode`` selects the operator set: ``"batch"`` (the default)
-    builds the vectorized operators of :mod:`repro.exec.batch`,
-    ``"tuple"`` the classic row-at-a-time operators — same plan shape
-    either way, kept selectable for differential testing.
-    """
-
-    def __init__(self, ctx: ExecutionContext, exec_mode: str = "batch"):
-        if exec_mode not in EXEC_MODES:
-            raise ReproError(f"unknown exec_mode {exec_mode!r}")
+    def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
-        self.exec_mode = exec_mode
-        self.ops = EXEC_MODES[exec_mode]
 
     def plan(
         self,
@@ -307,9 +264,9 @@ class Planner:
         root = self._plan_subtree(dec, 0, pattern, ordered)
         if prepass != "allow":
             root = self._apply_semantics(root)
-        root = self.ops.Project(root, pattern.returning_node)
+        root = Project(root, pattern.returning_node)
         if limit is not None:
-            root = self.ops.Limit(root, limit)
+            root = Limit(root, limit)
         return PhysicalPlan(root, self.ctx, pattern, dec, prepass=prepass)
 
     def _plan_subtree(
@@ -321,13 +278,12 @@ class Planner:
     ) -> Operator:
         subtree = dec.subtrees[index]
         anchored = index == 0 and pattern.root_axis == CHILD
-        ops = self.ops
-        op: Operator = ops.TagIndexScan(subtree.root, anchored=anchored)
-        op = ops.RootVerify(op, subtree.root)
-        op = ops.NPMMatch(op, subtree, ordered)
+        op: Operator = TagIndexScan(subtree.root, anchored=anchored)
+        op = RootVerify(op, subtree.root)
+        op = NPMMatch(op, subtree, ordered)
         for edge in dec.children_of(index):
             child_plan = self._plan_subtree(dec, edge.child_subtree, pattern, ordered)
-            op = ops.STDJoin(
+            op = STDJoin(
                 op,
                 child_plan,
                 edge.parent_node,
@@ -366,5 +322,5 @@ class Planner:
         if not self.ctx.secure:
             return root
         if self.ctx.semantics == VIEW:
-            return apply_view_rewrite(root, self.ctx, self.ops)
-        return apply_cho_rewrite(root, self.ctx, self.ops)
+            return apply_view_rewrite(root, self.ctx)
+        return apply_cho_rewrite(root, self.ctx)

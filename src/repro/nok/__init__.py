@@ -4,10 +4,12 @@
 - :mod:`~repro.nok.decompose` — splitting a pattern tree into NoK subtrees
   connected by ancestor–descendant edges.
 - :mod:`~repro.nok.matcher` — NPM, the recursive next-of-kin pattern
-  matcher, in non-secure and ε-NoK (secure) variants.
-- :mod:`~repro.nok.stdjoin` — Stack-Tree-Desc structural joins, plus the
-  secure ε-STD variant with path accessibility for view semantics.
-- :mod:`~repro.nok.engine` — the end-to-end query engine with statistics.
+  matcher, in non-secure and ε-NoK (secure) variants:
+  ``match_nok_subtree`` is what the ``NPMMatch`` operator runs, ``npm``
+  the literal Algorithm 1 it is tested against.
+- :mod:`~repro.nok.engine` — the end-to-end query engine with statistics
+  (a facade over :mod:`repro.exec`, which holds the operators — the
+  ε-STD structural join and its path-accessibility check included).
 - :mod:`~repro.nok.reference` — a brute-force evaluator used as the test
   oracle.
 """

@@ -35,7 +35,7 @@ from repro.labeling.registry import DEFAULT_BACKEND, build_labeling
 from repro.index.tagindex import TagIndex
 from repro.nok.decompose import Decomposition, decompose
 from repro.nok.pattern import CHILD, PatternTree, parse_query
-from repro.secure.semantics import CHO, SEMANTICS
+from repro.secure.semantics import CHO
 from repro.storage.nokstore import NoKStore
 from repro.storage.snapshot import StoreSnapshot
 from repro.xmltree.document import Document
@@ -47,8 +47,7 @@ class QueryEngine:
     """Twig query evaluator with optional labeling-based access control.
 
     The labeling may be any :class:`~repro.labeling.base.AccessLabeling`
-    backend (DOL, CAM, naive); the ``dol=`` keyword and ``.dol``
-    attribute remain as historical aliases for ``labeling``.
+    backend (DOL, CAM, naive).
     """
 
     def __init__(
@@ -57,27 +56,18 @@ class QueryEngine:
         labeling: Optional[AccessLabeling] = None,
         store: Optional[NoKStore] = None,
         index: Optional[TagIndex] = None,
-        dol: Optional[AccessLabeling] = None,
         plan_cache_size: int = 128,
-        exec_mode: str = "batch",
         run_cache_size: int = 64,
         result_cache_size: int = 256,
     ):
-        if labeling is None:
-            labeling = dol
-        elif dol is not None and dol is not labeling:
-            raise ReproError("pass either labeling= or its alias dol=, not both")
         if store is not None and labeling is not None and store.labeling is not labeling:
             raise ReproError("store and engine must share one labeling")
-        if exec_mode not in ("batch", "tuple"):
-            raise ReproError(f"unknown exec_mode {exec_mode!r}")
         self.doc = doc
         self.labeling = (
             labeling if labeling is not None else (store.labeling if store else None)
         )
         self.store = store
         self.index = index if index is not None else TagIndex(doc)
-        self.exec_mode = exec_mode
         #: compiled (pattern, decomposition) artifacts, shared by every
         #: execution — immutable once built, so cache hits are thread-safe
         self.plan_cache = PlanCache(plan_cache_size)
@@ -92,11 +82,6 @@ class QueryEngine:
         #: repeat-evaluation benchmarks and tests rely on re-execution
         self.result_cache = ResultCache(result_cache_size)
 
-    @property
-    def dol(self) -> Optional[AccessLabeling]:
-        """Historical alias for :attr:`labeling` (any backend, not only DOL)."""
-        return self.labeling
-
     @classmethod
     def build(
         cls,
@@ -108,15 +93,13 @@ class QueryEngine:
         buffer_capacity: int = 64,
         store_path: Optional[str] = None,
         labeling: str = DEFAULT_BACKEND,
-        exec_mode: str = "batch",
         codec=None,
     ) -> "QueryEngine":
         """Construct an engine, optionally with labeling and block storage.
 
         ``labeling`` names the access-labeling backend (``"dol"``,
-        ``"cam"``, or ``"naive"``) built from ``matrix``; ``exec_mode``
-        the default operator set (``"batch"`` or ``"tuple"``); ``codec``
-        the page codec for the block store (``use_store=True`` only).
+        ``"cam"``, or ``"naive"``) built from ``matrix``; ``codec`` the
+        page codec for the block store (``use_store=True`` only).
         """
         built = (
             build_labeling(labeling, doc, matrix, mode)
@@ -131,7 +114,7 @@ class QueryEngine:
                 doc, built, path=store_path, page_size=page_size,
                 buffer_capacity=buffer_capacity, codec=codec,
             )
-        return cls(doc, labeling=built, store=store, exec_mode=exec_mode)
+        return cls(doc, labeling=built, store=store)
 
     # -- compilation & evaluation ---------------------------------------------
 
@@ -144,7 +127,6 @@ class QueryEngine:
         limit: Optional[int] = None,
         strict: bool = True,
         snapshot: Optional[StoreSnapshot] = None,
-        exec_mode: Optional[str] = None,
         use_run_cache: bool = True,
     ):
         """Compile a query into a :class:`~repro.exec.planner.PhysicalPlan`.
@@ -205,10 +187,7 @@ class QueryEngine:
         else:
             pattern = query
             dec = decompose(pattern)
-        mode = self.exec_mode if exec_mode is None else exec_mode
-        return Planner(ctx, exec_mode=mode).plan_from(
-            pattern, dec, ordered=ordered, limit=limit
-        )
+        return Planner(ctx).plan_from(pattern, dec, ordered=ordered, limit=limit)
 
     def _epoch_key(self, labeling, source):
         """The data-version key class and result caches partition by.
@@ -251,7 +230,6 @@ class QueryEngine:
         limit: Optional[int] = None,
         strict: bool = True,
         snapshot: Optional[StoreSnapshot] = None,
-        exec_mode: Optional[str] = None,
         use_result_cache: bool = False,
         use_run_cache: bool = True,
     ) -> QueryResult:
@@ -270,8 +248,6 @@ class QueryEngine:
         page that fails its checksum is quarantined and skipped, and the
         result's ``stats.corrupted_pages`` lists what was lost; the
         default raises :class:`~repro.errors.PageCorruptionError`.
-        ``exec_mode`` overrides the engine's default operator set
-        (``"batch"``/``"tuple"``) for this evaluation.
         ``use_result_cache=True`` additionally consults the engine's
         :class:`~repro.exec.resultcache.ResultCache` after compiling:
         when a class-equivalent user already asked this exact question
@@ -284,7 +260,7 @@ class QueryEngine:
             snapshot = self.store.snapshot()
         plan = self.compile(
             query, subject=subject, semantics=semantics, ordered=ordered,
-            limit=limit, strict=strict, snapshot=snapshot, exec_mode=exec_mode,
+            limit=limit, strict=strict, snapshot=snapshot,
             use_run_cache=use_run_cache,
         )
         ctx = plan.ctx
@@ -325,7 +301,6 @@ class QueryEngine:
         limit: Optional[int] = None,
         strict: bool = True,
         snapshot: Optional[StoreSnapshot] = None,
-        exec_mode: Optional[str] = None,
         use_run_cache: bool = True,
     ) -> Iterator[int]:
         """Lazily yield distinct returning-node positions as found.
@@ -339,54 +314,9 @@ class QueryEngine:
         """
         return self.compile(
             query, subject=subject, semantics=semantics, ordered=ordered,
-            limit=limit, strict=strict, snapshot=snapshot, exec_mode=exec_mode,
+            limit=limit, strict=strict, snapshot=snapshot,
             use_run_cache=use_run_cache,
         ).execute()
-
-    def evaluate_path(
-        self,
-        query: Union[str, PatternTree],
-        subject: Optional[Union[int, Sequence[int]]] = None,
-        semantics: str = CHO,
-    ) -> QueryResult:
-        """Evaluate a query with the holistic PathStack strategy.
-
-        An alternative to NoK decomposition: linear paths (the Q4–Q6
-        class) run plain PathStack — one sorted candidate stream per step,
-        linked stacks, a single pass; branching twigs run PathStack per
-        root-to-leaf path and hash-merge the path solutions on their
-        shared bindings. Secure evaluation pre-filters the streams through
-        the access labeling. Unordered semantics only.
-        """
-        import time
-
-        from repro.nok.pathstack import (
-            evaluate_pathstack,
-            evaluate_twig_paths,
-            linear_steps,
-        )
-
-        if semantics not in SEMANTICS:
-            raise ReproError(f"unknown semantics {semantics!r}")
-        if subject is not None and self.labeling is None:
-            raise ReproError("secure evaluation requires an access labeling")
-        pattern = parse_query(query) if isinstance(query, str) else query
-
-        ctx = ExecutionContext(
-            self.doc, labeling=self.labeling, store=None, index=self.index,
-            subject=subject, semantics=semantics,
-        )
-        stats = ctx.stats
-        started = time.perf_counter()
-        access = ctx.access
-        if linear_steps(pattern) is not None:
-            positions = evaluate_pathstack(self.doc, pattern, self.index, access)
-        else:
-            positions = evaluate_twig_paths(self.doc, pattern, self.index, access)
-        stats.wall_time = time.perf_counter() - started
-        return QueryResult(
-            positions=positions, n_bindings=len(positions), stats=stats
-        )
 
     # -- plan inspection ------------------------------------------------------
 
@@ -434,19 +364,17 @@ class QueryEngine:
         limit: Optional[int] = None,
         strict: bool = True,
         snapshot: Optional[StoreSnapshot] = None,
-        exec_mode: Optional[str] = None,
     ) -> "tuple[QueryResult, str]":
         """Execute a query and return (result, annotated physical plan).
 
         The plan text carries per-operator output row counts, inclusive
         timings, and operator-specific counters (pages skipped, candidates
-        denied, join pairs pruned; batch operators additionally report
-        batch counts and rows per batch) — EXPLAIN ANALYZE for secure
-        twig queries.
+        denied, join pairs pruned, batch counts and rows per batch) —
+        EXPLAIN ANALYZE for secure twig queries.
         """
         plan = self.compile(
             query, subject=subject, semantics=semantics, ordered=ordered,
-            limit=limit, strict=strict, snapshot=snapshot, exec_mode=exec_mode,
+            limit=limit, strict=strict, snapshot=snapshot,
         )
         result = plan.run()
         return result, plan.explain(analyze=True)

@@ -117,7 +117,7 @@ def visible_positions(labeling: AccessLabeling, subject: int, doc) -> List[int]:
     """Positions surviving PRUNE filtering (view-visible nodes).
 
     A node survives iff every node on its root path, itself included, is
-    accessible — the same set the :class:`~repro.nok.stdjoin.PathAccessIndex`
+    accessible — the same set the :class:`~repro.exec.context.PathAccessIndex`
     computes; exposed here for verification and tests.
     """
     visible: List[int] = []
@@ -151,7 +151,6 @@ def stream_answer_fragments(
     ordered: bool = False,
     strict: bool = True,
     snapshot=None,
-    exec_mode: Optional[str] = None,
     use_run_cache: bool = True,
 ) -> Iterator[Tuple[int, str]]:
     """Disseminate *query answers*: (position, XML fragment) pairs, lazily.
@@ -172,7 +171,7 @@ def stream_answer_fragments(
     document, labeling, *and* plan execution to one store epoch for the
     stream's whole lifetime; ``strict=False`` degrades around quarantined
     pages (fragments then cover a subset of the accessible answers);
-    ``exec_mode``/``use_run_cache`` pass through to the engine compile.
+    ``use_run_cache`` passes through to the engine compile.
     """
     return AnswerFragmentStream(
         engine,
@@ -184,7 +183,6 @@ def stream_answer_fragments(
         ordered=ordered,
         strict=strict,
         snapshot=snapshot,
-        exec_mode=exec_mode,
         use_run_cache=use_run_cache,
     )
 
@@ -211,7 +209,6 @@ class AnswerFragmentStream:
         ordered: bool = False,
         strict: bool = True,
         snapshot=None,
-        exec_mode: Optional[str] = None,
         use_run_cache: bool = True,
     ):
         if policy not in _POLICIES:
@@ -232,7 +229,6 @@ class AnswerFragmentStream:
             limit=limit,
             strict=strict,
             snapshot=snapshot,
-            exec_mode=exec_mode,
             use_run_cache=use_run_cache,
         )
         #: live statistics of the executing plan (complete once drained)

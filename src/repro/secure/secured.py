@@ -40,8 +40,7 @@ class EditReport:
 class SecuredDocument:
     """A document + access labeling pair with coordinated updates.
 
-    Works with any labeling backend; the ``.dol`` attribute remains as a
-    historical alias for ``labeling``.
+    Works with any labeling backend.
     """
 
     def __init__(
@@ -58,11 +57,6 @@ class SecuredDocument:
         self.labeling = labeling
         self.store = store
         self._engine = None  # query engine cache, invalidated on structural edits
-
-    @property
-    def dol(self) -> AccessLabeling:
-        """Historical alias for :attr:`labeling` (any backend, not only DOL)."""
-        return self.labeling
 
     # -- accessibility updates ------------------------------------------------
 

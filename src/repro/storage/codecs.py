@@ -282,10 +282,10 @@ class PageColumns:
     ``array('H')``) and the precomputed *running* access code per offset
     (``codes``, ``array('H')`` — what :meth:`access_code_at` reads).
 
-    The batch executor reads the columns directly; point APIs
+    The operators read the columns directly; point APIs
     (``entry``/``page_entries``) materialize the historical
-    :class:`NodeEntry` list lazily as a thin view, so tuple-mode
-    operators, fsck and updates run unchanged. ``nbytes`` accounts the
+    :class:`NodeEntry` list lazily as a thin view, so the recursive
+    NPM matcher, fsck and updates run unchanged. ``nbytes`` accounts the
     columnar buffers (the entry view is a compat surface built only when
     object-at-a-time code touches the page).
     """

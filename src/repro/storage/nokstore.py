@@ -67,8 +67,7 @@ class NoKStore:
     """Block-oriented document store with pluggable access labeling.
 
     With a DOL the access codes are embedded in the pages (the paper's
-    design); the ``.dol`` attribute remains as a historical alias for
-    ``labeling``, whatever the backend.
+    design).
     """
 
     def __init__(
@@ -219,11 +218,6 @@ class NoKStore:
         return open_store(
             path, catalog_path, buffer_capacity, labeling=labeling
         )
-
-    @property
-    def dol(self) -> AccessLabeling:
-        """Historical alias for :attr:`labeling` (any backend, not only DOL)."""
-        return self.labeling
 
     @property
     def has_page_hints(self) -> bool:
@@ -465,7 +459,7 @@ class NoKStore:
         """All decoded entries of one page — one buffer fetch.
 
         A thin view over :meth:`page_columns` kept for object-at-a-time
-        callers (fsck, tuple-mode operators, tests).
+        callers (fsck, the recursive NPM matcher, tests).
         """
         return self._page(page_id).entries
 

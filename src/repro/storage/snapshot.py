@@ -89,11 +89,6 @@ class StoreSnapshot:
     # -- identity ----------------------------------------------------------
 
     @property
-    def dol(self) -> AccessLabeling:
-        """Historical alias for :attr:`labeling` (any backend)."""
-        return self.labeling
-
-    @property
     def has_page_hints(self) -> bool:
         return self.labeling.has_page_hints
 

@@ -203,6 +203,12 @@ class TestQuery:
         assert "answers: 20" in out
         assert "wall time:" in out
 
+    def test_malformed_query_exits_2_without_traceback(self, xmark_file, capsys):
+        assert main(["query", xmark_file, "//item["]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("backend", ("cam", "naive"))
     def test_secure_query_with_alternate_backend(
         self, xmark_file, capsys, backend

@@ -124,8 +124,8 @@ def _run_update_under_plan(baseline, workdir, plan):
     recovered = open_store(path)
     try:
         recovered.verify()
-        masks = recovered.dol.to_masks()
-        transitions = recovered.dol.n_transitions
+        masks = recovered.labeling.to_masks()
+        transitions = recovered.labeling.n_transitions
         if masks == baseline["pre_masks"]:
             assert transitions == baseline["pre_transitions"]
             state = "pre"
@@ -209,7 +209,7 @@ class TestCrashMatrix:
         try:
             recovered.verify()
             # first update intact, second fully rolled back
-            assert recovered.dol.to_masks() == baseline["post_masks"]
+            assert recovered.labeling.to_masks() == baseline["post_masks"]
         finally:
             recovered.close()
 

@@ -1,11 +1,11 @@
-"""Differential suite: batch execution is indistinguishable from tuple.
+"""Differential suite: the operator pipeline against the brute-force oracle.
 
-The vectorized operators of :mod:`repro.exec.batch` are a pure
-performance change — same answers, same pruning decisions, same access
-accounting — across every combination of secure semantics (cho / view),
-labeling backend (dol / cam / naive), ordered and unordered matching,
-in-memory and store-backed execution, and across accessibility updates
-(a commit must invalidate the decoded run lists, not serve stale ones).
+The engine's answers must equal :func:`repro.nok.reference.evaluate_reference`
+across every combination of secure semantics (cho / view), labeling
+backend (dol / cam / naive), ordered and unordered matching, in-memory
+and store-backed execution, single- and multi-subject evaluation — and
+across accessibility updates (a commit must invalidate the decoded run
+lists, not serve stale ones).
 """
 
 import pytest
@@ -13,6 +13,8 @@ import pytest
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
 from repro.labeling.registry import build_labeling
 from repro.nok.engine import QueryEngine
+from repro.nok.pattern import parse_query
+from repro.nok.reference import evaluate_reference
 from repro.secure.semantics import CHO, VIEW
 from repro.xmark.generator import XMarkConfig, generate_document
 
@@ -24,15 +26,6 @@ QUERY_SET = (
     "//item[name]/quantity",
     "//listitem//keyword",
     "//parlist//parlist",
-)
-
-#: Stats that must agree exactly between the modes: same candidates
-#: considered, same page-level and run-level pruning, same ACCESS calls.
-PARITY_FIELDS = (
-    "candidates",
-    "candidates_skipped_by_header",
-    "candidates_skipped_by_runs",
-    "access_checks",
 )
 
 
@@ -52,56 +45,68 @@ def matrix(doc):
     )
 
 
-def _assert_modes_agree(engine, query, subject, semantics, ordered=False):
-    batch = engine.evaluate(
-        query, subject=subject, semantics=semantics, ordered=ordered,
-        exec_mode="batch",
-    )
-    tuple_ = engine.evaluate(
-        query, subject=subject, semantics=semantics, ordered=ordered,
-        exec_mode="tuple",
-    )
-    assert batch.positions == tuple_.positions
-    for field in PARITY_FIELDS:
-        assert getattr(batch.stats, field) == getattr(tuple_.stats, field), field
-    return batch, tuple_
+@pytest.fixture(scope="module")
+def oracle(doc, matrix):
+    """Memoized oracle answers (they do not depend on the backend).
+
+    The oracle takes one subject; a subject *set* is folded into a
+    single mask column (bit 0 = any of the set's bits) first.
+    """
+    masks = matrix.masks()
+    memo = {}
+
+    def expected(query, subject=None, semantics=CHO, ordered=False):
+        key = (query, subject, semantics, ordered)
+        if key not in memo:
+            column, one = masks, subject
+            if isinstance(subject, tuple):
+                bits = sum(1 << s for s in subject)
+                column, one = [int(bool(m & bits)) for m in masks], 0
+            memo[key] = sorted(evaluate_reference(
+                doc, parse_query(query), column, one, semantics, ordered
+            ))
+        return memo[key]
+
+    return expected
 
 
 @pytest.mark.parametrize("ordered", (False, True))
 @pytest.mark.parametrize("semantics", (CHO, VIEW))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_matches_tuple_in_memory(doc, matrix, backend, semantics, ordered):
+def test_matches_oracle_in_memory(doc, matrix, oracle, backend, semantics, ordered):
     engine = QueryEngine.build(doc, matrix, labeling=backend)
     for query in QUERY_SET:
         for subject in range(matrix.n_subjects):
-            _assert_modes_agree(engine, query, subject, semantics, ordered)
+            got = engine.evaluate(
+                query, subject=subject, semantics=semantics, ordered=ordered
+            )
+            assert got.positions == oracle(query, subject, semantics, ordered)
 
 
 @pytest.mark.parametrize("semantics", (CHO, VIEW))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_matches_tuple_store_backed(doc, matrix, backend, semantics):
+def test_matches_oracle_store_backed(doc, matrix, oracle, backend, semantics):
     engine = QueryEngine.build(
         doc, matrix, use_store=True, page_size=256, labeling=backend
     )
     for query in QUERY_SET:
-        _assert_modes_agree(engine, query, 1, semantics)
+        got = engine.evaluate(query, subject=1, semantics=semantics)
+        assert got.positions == oracle(query, 1, semantics)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_matches_tuple_user_level(doc, matrix, backend):
+def test_matches_oracle_user_level(doc, matrix, oracle, backend):
     """Multi-subject evaluation: run lists union the subjects' rights."""
     engine = QueryEngine.build(doc, matrix, labeling=backend)
     for query in QUERY_SET:
-        _assert_modes_agree(engine, query, (0, 2), CHO)
+        got = engine.evaluate(query, subject=(0, 2), semantics=CHO)
+        assert got.positions == oracle(query, (0, 2))
 
 
-def test_non_secure_plans_agree(doc):
+def test_non_secure_plans_match_oracle(doc, oracle):
     engine = QueryEngine.build(doc)
     for query in QUERY_SET:
-        batch = engine.evaluate(query, exec_mode="batch")
-        tuple_ = engine.evaluate(query, exec_mode="tuple")
-        assert batch.positions == tuple_.positions
-        assert batch.stats.candidates == tuple_.stats.candidates
+        assert engine.evaluate(query).positions == oracle(query)
 
 
 def test_run_cache_serves_repeats_and_invalidates_on_store_commit(doc, matrix):
@@ -120,7 +125,6 @@ def test_run_cache_serves_repeats_and_invalidates_on_store_commit(doc, matrix):
     after = engine.evaluate("//item", subject=0)
     assert after.stats.run_cache_misses == 1
     assert after.positions == []
-    assert engine.evaluate("//item", subject=0, exec_mode="tuple").positions == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -138,21 +142,18 @@ def test_run_cache_invalidates_on_in_memory_update(doc, matrix, backend):
     assert len(after.positions) >= len(before.positions)
     # With the subject granted everywhere, cho answers = non-secure answers.
     assert after.positions == engine.evaluate("//item").positions
-    _assert_modes_agree(engine, "//item", 1, CHO)
 
 
-def test_probes_saved_parity_and_positivity(doc, matrix):
+def test_probes_saved_positivity(doc, matrix):
     engine = QueryEngine.build(doc, matrix)
-    batch, tuple_ = _assert_modes_agree(engine, "//item", 0, CHO)
-    assert batch.stats.probes_saved == tuple_.stats.probes_saved
-    assert batch.stats.probes_saved > 0
+    assert engine.evaluate("//item", subject=0).stats.probes_saved > 0
 
 
-def test_limit_streams_in_batch_mode(doc, matrix):
+def test_limit_streams(doc, matrix):
     engine = QueryEngine.build(doc, matrix)
-    full = engine.evaluate("//item", subject=0, exec_mode="batch")
+    full = engine.evaluate("//item", subject=0)
     assert full.n_answers > 2
-    limited = engine.evaluate("//item", subject=0, limit=2, exec_mode="batch")
+    limited = engine.evaluate("//item", subject=0, limit=2)
     assert limited.n_answers == 2
     assert set(limited.positions) <= set(full.positions)
 
@@ -161,35 +162,5 @@ def test_explain_analyze_reports_batches(doc, matrix):
     engine = QueryEngine.build(doc, matrix)
     result, text = engine.explain_analyze("//item", subject=0)
     assert result.n_answers > 0
-    assert "[batch]" in text
     assert "batches=" in text
     assert "rows/batch=" in text
-
-    _, tuple_text = engine.explain_analyze(
-        "//item", subject=0, exec_mode="tuple"
-    )
-    assert "[batch]" not in tuple_text
-
-
-def test_plan_shape_identical_across_modes(doc, matrix):
-    engine = QueryEngine.build(doc, matrix, use_store=True, page_size=256)
-    batch_ops = [
-        op.name for op in engine.compile("//listitem//keyword", subject=0).operators()
-    ]
-    tuple_ops = [
-        op.name
-        for op in engine.compile(
-            "//listitem//keyword", subject=0, exec_mode="tuple"
-        ).operators()
-    ]
-    assert batch_ops == tuple_ops
-
-
-def test_unknown_exec_mode_rejected(doc, matrix):
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
-        QueryEngine.build(doc, matrix, exec_mode="columnar")
-    engine = QueryEngine.build(doc, matrix)
-    with pytest.raises(ReproError):
-        engine.evaluate("//item", subject=0, exec_mode="vector")

@@ -92,7 +92,7 @@ class TestStorePipelineWithUpdates:
                 engine.store.update_subject_range(
                     pos, doc.subtree_end(pos), 1, False
                 )
-        masks = engine.dol.to_masks()
+        masks = engine.labeling.to_masks()
         got = set(engine.evaluate("//listitem//keyword", subject=1).positions)
         want = evaluate_reference(
             doc, parse_query("//listitem//keyword"), masks, 1, CHO

@@ -268,12 +268,6 @@ class TestStoreIntegration:
         with pytest.raises(ReproError):
             QueryEngine(doc, labeling=other, store=store)
 
-    def test_engine_dol_alias(self, doc, matrix):
-        labeling = build_labeling("cam", doc, matrix)
-        engine = QueryEngine(doc, dol=labeling)
-        assert engine.dol is labeling
-        assert engine.labeling is labeling
-
 
 class TestPersistence:
     @pytest.mark.parametrize("name", ("cam", "naive"))

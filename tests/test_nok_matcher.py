@@ -1,12 +1,17 @@
 """Unit tests for NPM pattern matching (Algorithm 1) and binding enumeration."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nok.decompose import decompose
 from repro.nok.matcher import match_nok_subtree, npm
 from repro.nok.pattern import parse_query
 from repro.xmltree.builder import tree
 from repro.xmltree.document import Document
+from repro.xmltree.node import Node
 
 
 @pytest.fixture
@@ -123,3 +128,55 @@ class TestBindingEnumeration:
         bindings = self._match(doc, "/a/b[c][d]")
         keys = [frozenset(b.items()) for b in bindings]
         assert len(keys) == len(set(keys))
+
+
+# -- Algorithm 1 as the reference for the enumerating matcher -----------------
+
+#: child-axis-only twigs: each is a single NoK subtree holding the
+#: returning node, the shape both entry points are defined on
+NOK_QUERIES = [
+    "/n0/n1",
+    "/n0[n1]/n2",
+    "/n0/n1[n2]",
+    "/n0/*[n1][n2]",
+    "/n0[n1/n2]",
+    "/*/n1/n0",
+    "/n1[n0][n2]",
+    "/n1[n0]/n0",
+    '/n0/n1 = "x"',
+]
+
+
+@st.composite
+def nok_cases(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=99_999)))
+    root = Node("n0", text=rng.choice(["", "x"]))
+    nodes = [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        child = Node(f"n{rng.randrange(3)}", text=rng.choice(["", "x"]))
+        nodes[rng.randrange(len(nodes))].append(child)
+        nodes.append(child)
+    doc = Document.from_tree(root)
+    blocked = {pos for pos in range(len(doc)) if rng.random() < 0.3}
+    return doc, draw(st.sampled_from(NOK_QUERIES)), blocked
+
+
+@given(nok_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_match_nok_subtree_agrees_with_algorithm_1(case, secure):
+    doc, query, blocked = case
+    access = (lambda pos: pos not in blocked) if secure else None
+    pattern = parse_query(query)
+    subtree = decompose(pattern).subtrees[0]
+    returning = id(pattern.returning_node)
+    for pos in range(len(doc)):
+        # the shared pre-condition: tag/value test and ACCESS hold at pos
+        if not pattern.root.matches(doc.tag_name(pos), doc.text(pos)):
+            continue
+        if access is not None and not access(pos):
+            continue
+        result = []
+        matched = npm(doc, pattern.root, pos, result, access)
+        bindings = match_nok_subtree(doc, subtree, pos, access)
+        assert bool(bindings) == matched, (query, pos)
+        assert sorted({b[returning] for b in bindings}) == sorted(set(result))

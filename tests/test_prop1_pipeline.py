@@ -78,7 +78,7 @@ class TestAccessibilityUpdates:
         for index, pos in enumerate(probes):
             delta = updater.set_node_accessibility(pos, 0, index % 2 == 0)
             DOLUpdater.check_proposition1(delta)
-            engine = QueryEngine(xdoc, dol=dol)
+            engine = QueryEngine(xdoc, labeling=dol)
             masks = dol.to_masks()
             for semantics in (CHO, VIEW):
                 got = set(engine.evaluate(pattern, subject=0, semantics=semantics).positions)
@@ -122,7 +122,7 @@ class TestProperty:
             mask = data.draw(st.integers(0, (1 << N_SUBJECTS) - 1), label="mask")
             delta = updater.set_range_mask(start, end, mask)
             assert delta <= 2
-        engine = QueryEngine(xdoc, dol=dol)
+        engine = QueryEngine(xdoc, labeling=dol)
         masks = dol.to_masks()
         got = set(engine.evaluate("//item//keyword", subject=0).positions)
         want = evaluate_reference(xdoc, parse_query("//item//keyword"), masks, 0, CHO)

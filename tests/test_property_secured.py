@@ -117,4 +117,4 @@ def test_random_edit_sequences_stay_consistent(script):
         masks = expected
         assert sd.masks() == masks
         sd.validate()
-        assert sd.dol.n_transitions == len(transitions_from_masks(masks))
+        assert sd.labeling.n_transitions == len(transitions_from_masks(masks))

@@ -1,8 +1,8 @@
-"""Property tests with value predicates: all strategies must agree.
+"""Property tests with value predicates: the engine must match the oracle.
 
 Random documents with random short texts, queries mixing tag, value, and
-wildcard tests — NoK evaluation, the PathStack strategies, and the
-brute-force oracle must return identical answers.
+wildcard tests — NoK evaluation and the brute-force oracle must return
+identical answers, securely and not.
 """
 
 import random
@@ -64,24 +64,11 @@ def test_nok_with_values_matches_oracle(case):
 
 
 @given(cases())
-@settings(max_examples=120, deadline=None)
-def test_pathstack_with_values_matches_oracle(case):
-    doc, query, _masks = case
-    pattern = parse_query(query)
-    engine = QueryEngine.build(doc)
-    got = set(engine.evaluate_path(pattern).positions)
-    want = evaluate_reference(doc, pattern)
-    assert got == want, query
-
-
-@given(cases())
 @settings(max_examples=100, deadline=None)
-def test_secure_strategies_agree_with_values(case):
+def test_secure_nok_with_values_matches_oracle(case):
     doc, query, masks = case
     pattern = parse_query(query)
     matrix = AccessMatrix.from_masks(masks, 1)
     engine = QueryEngine.build(doc, matrix)
-    nok = set(engine.evaluate(pattern, subject=0).positions)
-    holistic = set(engine.evaluate_path(pattern, subject=0).positions)
-    oracle = evaluate_reference(doc, pattern, masks, 0)
-    assert nok == holistic == oracle, query
+    got = set(engine.evaluate(pattern, subject=0).positions)
+    assert got == evaluate_reference(doc, pattern, masks, 0), query

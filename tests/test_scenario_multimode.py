@@ -41,7 +41,7 @@ class TestPerModeQuerying:
                 )
                 # Evaluate via the combined DOL's column for (subject, mode).
                 column = combined.column(subject, mode)
-                column_engine = QueryEngine(dataset.doc, dol=combined.dol)
+                column_engine = QueryEngine(dataset.doc, labeling=combined.dol)
                 via_combined = set(
                     column_engine.evaluate("//item", subject=column).positions
                 )

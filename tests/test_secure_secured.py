@@ -79,7 +79,7 @@ class TestStructuralUpdates:
         sd.set_subtree_accessibility(0, 1, False)
         sd.delete_subtree(1)
         sd.validate()
-        assert sd.dol.n_nodes == len(sd.doc)
+        assert sd.labeling.n_nodes == len(sd.doc)
 
 
 class TestStoreBackedEdits:
@@ -109,7 +109,7 @@ class TestStoreBackedEdits:
         sd.move_subtree(1, 4)
         for pos in range(sd.store.n_nodes):
             for subject in (0, 1):
-                assert sd.store.accessible(subject, pos) == sd.dol.accessible(
+                assert sd.store.accessible(subject, pos) == sd.labeling.accessible(
                     subject, pos
                 )
 
@@ -118,7 +118,7 @@ class TestStoreBackedEdits:
 
         sd = make(with_store=True)
         sd.insert_subtree(3, 0, tree(("q", ("r",))), masks=[0b11, 0b11])
-        engine = QueryEngine(sd.doc, dol=sd.dol, store=sd.store)
+        engine = QueryEngine(sd.doc, labeling=sd.labeling, store=sd.store)
         result = engine.evaluate("//q/r", subject=0)
         assert result.n_answers == 1
 

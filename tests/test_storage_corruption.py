@@ -151,10 +151,10 @@ class TestDegradedQueries:
 
     def _open_with_rot(self, path):
         store = open_store(path)
-        engine = QueryEngine(store.doc, dol=store.dol, store=store)
+        engine = QueryEngine(store.doc, labeling=store.labeling, store=store)
         # Pick the page of an answer subject 0 can actually see, so the
         # corruption provably removes results.
-        clean = QueryEngine(store.doc, dol=store.dol).evaluate(
+        clean = QueryEngine(store.doc, labeling=store.labeling).evaluate(
             "//item", subject=0
         )
         page_id = store.page_of(clean.positions[0])

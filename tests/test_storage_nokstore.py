@@ -47,7 +47,7 @@ class TestLayout:
         for page_id in range(store.n_pages):
             first = page_id * store.entries_per_page
             header = store.headers.get(page_id)
-            assert header.first_code == store.dol.code_at(first)
+            assert header.first_code == store.labeling.code_at(first)
 
     def test_dol_document_mismatch_rejected(self, paper_doc):
         dol = DOL.from_masks([1, 0], 1)
@@ -75,7 +75,7 @@ class TestAccessChecks:
     def test_accessibility_matches_dol(self, store):
         for pos in range(store.n_nodes):
             for subject in (0, 1):
-                assert store.accessible(subject, pos) == store.dol.accessible(
+                assert store.accessible(subject, pos) == store.labeling.accessible(
                     subject, pos
                 )
 

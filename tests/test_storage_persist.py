@@ -38,9 +38,9 @@ class TestRoundTrip:
     def test_dol_reconstructed(self, saved):
         path, _doc, dol = saved
         store = open_store(path)
-        assert store.dol.to_masks() == dol.to_masks()
-        assert store.dol.n_transitions == dol.n_transitions
-        assert len(store.dol.codebook) == len(dol.codebook)
+        assert store.labeling.to_masks() == dol.to_masks()
+        assert store.labeling.n_transitions == dol.n_transitions
+        assert len(store.labeling.codebook) == len(dol.codebook)
         store.close()
 
     def test_navigation_after_reopen(self, saved):
@@ -56,10 +56,10 @@ class TestRoundTrip:
 
         path, doc, dol = saved
         store = open_store(path)
-        engine = QueryEngine(store.doc, dol=store.dol, store=store)
+        engine = QueryEngine(store.doc, labeling=store.labeling, store=store)
         reopened = engine.evaluate("//item//emph", subject=1)
 
-        original_engine = QueryEngine(doc, dol=dol)
+        original_engine = QueryEngine(doc, labeling=dol)
         original = original_engine.evaluate("//item//emph", subject=1)
         assert reopened.positions == original.positions
         store.close()

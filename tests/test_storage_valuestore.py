@@ -89,6 +89,6 @@ class TestNoKStoreIntegration:
         matrix.grant_range(0, 0, len(small_doc))
         dol = DOL.from_matrix(matrix)
         store = NoKStore(small_doc, dol, page_size=96, paged_values=True)
-        engine = QueryEngine(small_doc, dol=dol, store=store)
+        engine = QueryEngine(small_doc, labeling=dol, store=store)
         result = engine.evaluate('/site/item[name = "anvil"]', subject=0)
         assert result.n_answers == 1

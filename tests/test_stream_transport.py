@@ -48,20 +48,19 @@ class TestOrderingAndContent:
         assert sorted(pos for pos, _ in fragments) == sorted(result.positions)
         assert all(xml.startswith("<name") for _, xml in fragments)
 
-    def test_exec_modes_produce_identical_fragments(self, store_engine):
-        runs = [
+    def test_private_run_cache_produces_identical_fragments(self, store_engine):
+        shared, private = (
             sorted(
                 drain(
                     stream_answer_fragments(
-                        store_engine, QUERY, 1, exec_mode=mode,
-                        use_run_cache=False,
+                        store_engine, QUERY, 1, use_run_cache=use_run_cache
                     )
                 )
             )
-            for mode in (None, "batch", "tuple")
-        ]
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0]  # the comparison is not vacuous
+            for use_run_cache in (True, False)
+        )
+        assert shared == private
+        assert shared  # the comparison is not vacuous
 
 
 class TestEarlyTermination:
