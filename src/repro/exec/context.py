@@ -18,6 +18,7 @@ imports the engine, which imports the execution layer.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -115,7 +116,7 @@ class OperatorStats:
 
 
 class PathAccessIndex:
-    """Per-subject path-accessibility oracle for view-semantics joins.
+    """Per-subject path-accessibility oracle for view semantics.
 
     For the view semantics of Gabillon–Bruno (Section 4.2) a joined pair
     additionally requires *every node on the path* from ancestor to
@@ -125,12 +126,17 @@ class PathAccessIndex:
     accessible, so the path test is O(1) per pair without extra page
     reads. Computed in one linear scan over the document using the access
     labeling (any backend — only per-node masks are consumed).
+
+    The index is the subject's pruned view materialised: a function of
+    the document version and the access class, not of the query. It is
+    immutable once built, so :attr:`ExecutionContext.path_index` shares
+    one per (epoch, class) between queries and threads.
     """
 
     def __init__(self, doc: Document, labeling: AccessLabeling, subject):
         self.doc = doc
         n = len(doc)
-        blocked = [NO_NODE] * n
+        blocked = array("i", [NO_NODE]) * n
         masks = labeling.to_masks()
         # `subject` may be a single subject id or a collection of ids (a
         # user's own subject plus her groups; union semantics).
@@ -228,10 +234,14 @@ class ExecutionContext:
 
     # -- data source -------------------------------------------------------
 
-    @property
-    def source(self):
-        """Where navigation reads go: the block store when present."""
-        return self.store if self.store is not None else self.doc
+    def navigator(self):
+        """The next-of-kin interface one plan execution navigates through.
+
+        Store-backed: a fresh :class:`~repro.storage.cursor.PageCursor`
+        over the bound snapshot — scratch state of the caller, never
+        shared. Otherwise the in-memory document itself.
+        """
+        return self.store.cursor() if self.store is not None else self.doc
 
     @property
     def secure(self) -> bool:
@@ -280,12 +290,21 @@ class ExecutionContext:
     # -- access control ----------------------------------------------------
 
     @property
-    def path_index(self):
-        """Per-subject path-accessibility oracle (view semantics only)."""
+    def path_index(self) -> PathAccessIndex:
+        """Path-accessibility oracle of the subject set (view semantics).
+
+        Cached beside the run lists, under the same (epoch, access
+        class) key, so every view query of one class at one epoch — its
+        ACCESS function, its run list and its :class:`PathCheck`s — reads
+        one index, and a commit invalidates it by key.
+        """
         if self._path_index is None:
             if self.subject is None:
                 raise ReproError("path index requires a subject")
-            self._path_index = PathAccessIndex(self.doc, self.labeling, self.subject)
+            self._path_index = self._cache().get_or_build(
+                self._cache_key("path-index"),
+                lambda: PathAccessIndex(self.doc, self.labeling, self.subject),
+            )[0]
         return self._path_index
 
     @property
@@ -321,37 +340,47 @@ class ExecutionContext:
         — so building it performs no page I/O.
 
         Lists are memoized in the :class:`~repro.labeling.runs.RunCache`
-        keyed by ``(epoch, access class, semantics)``: the store epoch
-        when a snapshot is bound (a commit bumps it, invalidating by
-        key), the labeling's ``runs_epoch`` otherwise. The access
-        component is the :attr:`class_id` when the engine resolved one —
-        class-equivalent subject sets share the entry — or the
-        normalized subject tuple for standalone contexts. Hits and
-        misses land in ``stats.run_cache_hits`` /
-        ``stats.run_cache_misses``.
+        keyed by ``(epoch, access class, semantics)`` (see
+        :meth:`_cache_key`). Hits and misses land in
+        ``stats.run_cache_hits`` / ``stats.run_cache_misses``.
         """
         if self.subjects is None:
             return None
         if self._run_list is not None:
             return self._run_list
-        if self._run_cache is None:
-            self._run_cache = RunCache(capacity=8)
-        access = self.class_id if self.class_id is not None else self.subjects
-        if self.store is not None:
-            key = ("store", self.store.epoch, access, self.semantics)
-        else:
-            labeling = self.labeling
-            key = (
-                "mem", id(labeling), labeling.runs_epoch,
-                access, self.semantics,
-            )
-        built, hit = self._run_cache.get_or_build(key, self._decode_run_list)
+        built, hit = self._cache().get_or_build(
+            self._cache_key(self.semantics), self._decode_run_list
+        )
         if hit:
             self.stats.run_cache_hits += 1
         else:
             self.stats.run_cache_misses += 1
         self._run_list = built
         return built
+
+    def _cache(self) -> RunCache:
+        """The engine's shared cache, or a private one created on first use."""
+        if self._run_cache is None:
+            self._run_cache = RunCache(capacity=8)
+        return self._run_cache
+
+    def _cache_key(self, artifact: str) -> Tuple:
+        """``(epoch, access class, artifact)`` — the one key discipline.
+
+        The epoch is the store epoch when a snapshot is bound (a commit
+        bumps it, so a commit *is* the invalidation), the labeling's
+        identity and ``runs_epoch`` otherwise. The access component is
+        the :attr:`class_id` when the engine resolved one —
+        class-equivalent subject sets share the entry — or the
+        normalized subject tuple for standalone contexts. ``artifact``
+        is the semantics for a run list, ``"path-index"`` for the path
+        index.
+        """
+        access = self.class_id if self.class_id is not None else self.subjects
+        if self.store is not None:
+            return ("store", self.store.epoch, access, artifact)
+        labeling = self.labeling
+        return ("mem", id(labeling), labeling.runs_epoch, access, artifact)
 
     def _decode_run_list(self) -> RunList:
         n = len(self.doc)

@@ -455,6 +455,12 @@ class NPMMatch(Operator):
     tests, so the binding is just ``{root: pos}``. That case emits the
     position batch as a :class:`ColumnBatch` — the candidate array
     *becomes* the binding column, zero per-row work and no access calls.
+
+    Matching navigates through the context's
+    :meth:`~repro.exec.context.ExecutionContext.navigator` — over a store,
+    one page cursor for the whole execution, whose page lookups are
+    reported as ``pins`` (a corrupt page raises at the pin and costs the
+    candidate being matched, as any page read would).
     """
 
     name = "NPMMatch"
@@ -465,7 +471,7 @@ class NPMMatch(Operator):
         self.ordered = ordered
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[BindingBatch]:
-        source, subtree, ordered = ctx.source, self.subtree, self.ordered
+        subtree, ordered = self.subtree, self.ordered
         root = subtree.root
         if not any(axis == CHILD for axis in root.axes):
             key = id(root)
@@ -477,17 +483,22 @@ class NPMMatch(Operator):
                     yield ColumnBatch((), (), len(batch))
             return
         access = ctx.access
-        for batch in self.child.execute(ctx):
-            out: List[Binding] = []
-            for pos in batch:
-                try:
-                    out.extend(
-                        match_nok_subtree(source, subtree, pos, access, ordered)
-                    )
-                except PageCorruptionError as exc:
-                    ctx.report_corruption(exc)  # raises when ctx.strict
-            if out:
-                yield out
+        nav = ctx.navigator()
+        try:
+            for batch in self.child.execute(ctx):
+                out: List[Binding] = []
+                for pos in batch:
+                    try:
+                        out.extend(
+                            match_nok_subtree(nav, subtree, pos, access, ordered)
+                        )
+                    except PageCorruptionError as exc:
+                        ctx.report_corruption(exc)  # raises when ctx.strict
+                if out:
+                    yield out
+        finally:
+            if ctx.store is not None:
+                self.stats.bump("pins", nav.pins)
 
     def describe(self) -> str:
         detail = f"subtree {self.subtree.index} root <{self.subtree.root.tag}>"

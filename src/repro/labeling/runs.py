@@ -232,6 +232,10 @@ class RunCache:
     next query computes a new key, misses, and decodes the new state,
     while entries for dead epochs age out of the LRU. One cache must only
     ever serve one store / labeling lineage (the engine owns one).
+
+    The view-semantics path index of an (epoch, access class) has the
+    same lifetime and lives here under the same key discipline (see
+    :attr:`repro.exec.context.ExecutionContext.path_index`).
     """
 
     def __init__(self, capacity: int = 64):

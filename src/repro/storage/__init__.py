@@ -12,8 +12,10 @@ on:
 - :mod:`~repro.storage.headers` — the in-memory page header table (first
   node's access code + change bit) that enables page skipping.
 - :mod:`~repro.storage.nokstore` — the integrated store: document structure
-  with embedded DOL transition codes, next-of-kin navigation, access checks
-  that never cost extra I/O, and page-local updates.
+  with embedded DOL transition codes, access checks that never cost extra
+  I/O, and page-local updates.
+- :mod:`~repro.storage.cursor` — next-of-kin navigation (first child,
+  following sibling) as a cursor pinned to one decoded columnar page.
 """
 
 from repro.storage.buffer import BufferPool

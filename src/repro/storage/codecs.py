@@ -282,12 +282,11 @@ class PageColumns:
     ``array('H')``) and the precomputed *running* access code per offset
     (``codes``, ``array('H')`` — what :meth:`access_code_at` reads).
 
-    The operators read the columns directly; point APIs
-    (``entry``/``page_entries``) materialize the historical
-    :class:`NodeEntry` list lazily as a thin view, so the recursive
-    NPM matcher, fsck and updates run unchanged. ``nbytes`` accounts the
-    columnar buffers (the entry view is a compat surface built only when
-    object-at-a-time code touches the page).
+    Operators and page cursors read the columns directly. The
+    row-shaped :class:`NodeEntry` form is built on request
+    (:meth:`entry_at` for one offset, :attr:`entries` for the page) and
+    never kept: the instance holds its header and columns only, which is
+    what ``nbytes`` — the decoded-page cache's accounting unit — counts.
     """
 
     __slots__ = (
@@ -299,7 +298,6 @@ class PageColumns:
         "trans_offsets",
         "trans_codes",
         "codes",
-        "_entries",
     )
 
     def __init__(
@@ -319,7 +317,6 @@ class PageColumns:
         self.trans_offsets = trans_offsets
         self.trans_codes = trans_codes
         self.codes = self._running_codes(header.first_code)
-        self._entries: Optional[List[NodeEntry]] = None
 
     def _running_codes(self, first_code: int) -> array:
         """Code in effect at each offset: segments between transitions."""
@@ -351,30 +348,18 @@ class PageColumns:
 
     @property
     def entries(self) -> List[NodeEntry]:
-        """The page as :class:`NodeEntry` objects (lazy, then cached)."""
-        if self._entries is None:
-            tags, depths, subtrees = self.tags, self.depths, self.subtrees
-            toffs, tcodes = self.trans_offsets, self.trans_codes
-            entries: List[NodeEntry] = []
-            ti = 0
-            n_trans = len(toffs)
-            for i in range(self.n):
-                if ti < n_trans and toffs[ti] == i:
-                    entries.append(
-                        NodeEntry(tags[i], depths[i], subtrees[i], tcodes[ti], True)
-                    )
-                    ti += 1
-                else:
-                    entries.append(
-                        NodeEntry(tags[i], depths[i], subtrees[i], 0, False)
-                    )
-            self._entries = entries
-        return self._entries
+        """The page as a fresh :class:`NodeEntry` list (not retained)."""
+        tags, depths, subtrees = self.tags, self.depths, self.subtrees
+        entries = [
+            NodeEntry(tags[i], depths[i], subtrees[i], 0, False)
+            for i in range(self.n)
+        ]
+        for off, code in zip(self.trans_offsets, self.trans_codes):
+            entries[off] = NodeEntry(tags[off], depths[off], subtrees[off], code, True)
+        return entries
 
     def entry_at(self, offset: int) -> NodeEntry:
-        """One offset as a :class:`NodeEntry` (uses the view if built)."""
-        if self._entries is not None:
-            return self._entries[offset]
+        """One offset as a :class:`NodeEntry`."""
         toffs = self.trans_offsets
         i = bisect_left(toffs, offset)
         if i < len(toffs) and toffs[i] == offset:

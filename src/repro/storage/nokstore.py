@@ -36,13 +36,14 @@ from repro.errors import PageCorruptionError, PageFormatError, StorageError
 from repro.labeling.base import AccessLabeling
 from repro.storage.buffer import BufferPool
 from repro.storage.codecs import PageColumns, resolve_page_format
+from repro.storage.cursor import PageNavigation
 from repro.storage.encoding import ENTRY_SIZE, NodeEntry
 from repro.storage.headers import HEADER_SIZE, PageHeader, PageHeaderTable
 from repro.storage.pagecache import DEFAULT_DECODED_CACHE_BYTES, DecodedPageCache
 from repro.storage.pager import CHECKSUM_SIZE, DEFAULT_PAGE_SIZE, Pager
 from repro.storage.snapshot import StoreSnapshot
 from repro.storage.wal import WriteAheadLog
-from repro.xmltree.document import NO_NODE, Document
+from repro.xmltree.document import Document
 
 
 def entries_per_page_for(page_size: int) -> int:
@@ -63,7 +64,7 @@ class UpdateCost:
     transition_delta: int
 
 
-class NoKStore:
+class NoKStore(PageNavigation):
     """Block-oriented document store with pluggable access labeling.
 
     With a DOL the access codes are embedded in the pages (the paper's
@@ -446,22 +447,10 @@ class NoKStore:
         return self._columnar_decodes
 
     def entry(self, pos: int) -> NodeEntry:
-        """The stored record for position ``pos`` (loads its page).
-
-        Object-at-a-time compat surface: materializes the page's
-        :class:`NodeEntry` view on first touch (cached with the decode).
-        """
+        """The stored record for position ``pos`` (loads its page)."""
         self._check(pos)
         page = self._page(pos // self.entries_per_page)
-        return page.entries[pos % self.entries_per_page]
-
-    def page_entries(self, page_id: int) -> List[NodeEntry]:
-        """All decoded entries of one page — one buffer fetch.
-
-        A thin view over :meth:`page_columns` kept for object-at-a-time
-        callers (fsck, the recursive NPM matcher, tests).
-        """
-        return self._page(page_id).entries
+        return page.entry_at(pos % self.entries_per_page)
 
     def page_columns(self, page_id: int) -> PageColumns:
         """The columnar decode of one page — the batch executor's face.
@@ -472,13 +461,7 @@ class NoKStore:
         """
         return self._page(page_id)
 
-    # -- navigation (the next-of-kin primitives) -------------------------------------
-
-    def tag_id(self, pos: int) -> int:
-        return self.entry(pos).tag_id
-
-    def tag_name(self, pos: int) -> str:
-        return self.doc.tag_dict.name_of(self.entry(pos).tag_id)
+    # -- values (navigation itself is PageNavigation) --------------------------------
 
     def text(self, pos: int) -> str:
         """Node text, from the separate NoK value store.
@@ -496,21 +479,6 @@ class NoKStore:
         """Node attributes (served with the value store's metadata)."""
         self._check(pos)
         return self.doc.attrs[pos]
-
-    def first_child(self, pos: int) -> int:
-        """FIRST-CHILD of Algorithm 1; ``NO_NODE`` for leaves."""
-        return pos + 1 if self.entry(pos).subtree > 1 else NO_NODE
-
-    def following_sibling(self, pos: int) -> int:
-        """FOLLOWING-SIBLING of Algorithm 1; ``NO_NODE`` at the end."""
-        here = self.entry(pos)
-        nxt = pos + here.subtree
-        if nxt >= self.n_nodes:
-            return NO_NODE
-        return nxt if self.entry(nxt).depth == here.depth else NO_NODE
-
-    def subtree_end(self, pos: int) -> int:
-        return pos + self.entry(pos).subtree
 
     # -- access control (Section 3.3) ---------------------------------------------
 
@@ -836,13 +804,14 @@ class NoKStore:
         for page_id in range(self.n_pages):
             data = self.pager.read_page(page_id)
             decoded = self._decode(data)
+            entries = decoded.entries
             header = self.headers.get(page_id)
-            expected = PageHeader.expected_for(decoded.entries)
+            expected = PageHeader.expected_for(entries)
             if header != expected:
                 raise StorageError(
                     f"page {page_id}: header drift (table {header}, page implies {expected})"
                 )
-            for offset, entry in enumerate(decoded.entries):
+            for offset, entry in enumerate(entries):
                 if entry.tag_id != doc.tags[pos]:
                     raise StorageError(f"position {pos}: tag drift")
                 if entry.depth != doc.depth[pos]:

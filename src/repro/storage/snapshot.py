@@ -46,15 +46,16 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import PageCorruptionError, StorageError
 from repro.labeling.base import AccessLabeling
+from repro.storage.cursor import PageNavigation
 from repro.storage.headers import PageHeaderTable
-from repro.xmltree.document import NO_NODE, Document
+from repro.xmltree.document import Document
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.codecs import PageColumns
     from repro.storage.nokstore import NoKStore
 
 
-class StoreSnapshot:
+class StoreSnapshot(PageNavigation):
     """An immutable, epoch-stamped read view of one :class:`NoKStore`.
 
     Duck-types the store's reader API so planners, operators and the NoK
@@ -77,6 +78,8 @@ class StoreSnapshot:
         self.labeling = labeling
         self.headers = headers
         self._n_data_pages = n_data_pages
+        #: a snapshot never changes, so its sizes are plain attributes
+        self.n_nodes = len(doc)
         self.entries_per_page = store.entries_per_page
         self.page_size = store.page_size
         #: pre-update page images, installed by the writer that
@@ -91,10 +94,6 @@ class StoreSnapshot:
     @property
     def has_page_hints(self) -> bool:
         return self.labeling.has_page_hints
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.doc)
 
     @property
     def n_pages(self) -> int:
@@ -168,23 +167,13 @@ class StoreSnapshot:
         """The stored record for position ``pos`` at this epoch."""
         self._check(pos)
         page = self._page(pos // self.entries_per_page)
-        return page.entries[pos % self.entries_per_page]
-
-    def page_entries(self, page_id: int):
-        """All decoded entries of one page at this epoch (one fetch)."""
-        return self._page(page_id).entries
+        return page.entry_at(pos % self.entries_per_page)
 
     def page_columns(self, page_id: int) -> "PageColumns":
         """The columnar decode of one page at this epoch."""
         return self._page(page_id)
 
-    # -- navigation (the next-of-kin primitives) ---------------------------
-
-    def tag_id(self, pos: int) -> int:
-        return self.entry(pos).tag_id
-
-    def tag_name(self, pos: int) -> str:
-        return self.doc.tag_dict.name_of(self.entry(pos).tag_id)
+    # -- values (navigation itself is PageNavigation) ----------------------
 
     def text(self, pos: int) -> str:
         """Node text, from the snapshot's frozen document arrays.
@@ -199,19 +188,6 @@ class StoreSnapshot:
     def attrs_of(self, pos: int):
         self._check(pos)
         return self.doc.attrs[pos]
-
-    def first_child(self, pos: int) -> int:
-        return pos + 1 if self.entry(pos).subtree > 1 else NO_NODE
-
-    def following_sibling(self, pos: int) -> int:
-        here = self.entry(pos)
-        nxt = pos + here.subtree
-        if nxt >= self.n_nodes:
-            return NO_NODE
-        return nxt if self.entry(nxt).depth == here.depth else NO_NODE
-
-    def subtree_end(self, pos: int) -> int:
-        return pos + self.entry(pos).subtree
 
     # -- access control (Section 3.3, frozen at this epoch) ----------------
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.acl.model import AccessMatrix
+from repro.bench.queries import QUERIES
 from repro.nok.engine import EvalStats, QueryEngine, QueryResult
+from repro.xmark.generator import XMarkConfig, generate_document
 from repro.xmltree.builder import tree
 from repro.xmltree.document import Document
 
@@ -62,6 +64,25 @@ class TestEvalStats:
         second = engine.evaluate("//a")
         # counters are per-evaluation deltas, not cumulative
         assert second.stats.physical_page_reads <= first.stats.physical_page_reads + 2
+
+
+    def test_explain_analyze_reports_pins_of_the_matcher(self):
+        # a store-backed Q1: every pin is a page lookup, and page lookups
+        # are what ``logical_page_reads`` counts
+        doc = generate_document(XMarkConfig(n_items=40, seed=2))
+        matrix = AccessMatrix(len(doc), 1)
+        matrix.grant_range(0, 0, len(doc))
+        engine = QueryEngine.build(doc, matrix, use_store=True, page_size=512)
+        plan = engine.compile(QUERIES["Q1"])
+        result = plan.run()
+        (npm,) = [op for op in plan.operators() if op.name == "NPMMatch"]
+        pins = npm.stats.extra["pins"]
+        assert 0 < pins <= result.stats.logical_page_reads
+        assert f"pins={pins}" in plan.explain(analyze=True)
+        # in memory there are no pages to pin
+        memory = QueryEngine.build(doc, matrix).compile(QUERIES["Q1"])
+        memory.run()
+        assert "pins=" not in memory.explain(analyze=True)
 
 
 class TestQueryResult:

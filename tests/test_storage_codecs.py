@@ -9,18 +9,24 @@ corrupts pages.
 """
 
 import os
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
+from repro.bench.queries import QUERIES
+from repro.dol.labeling import DOL
 from repro.errors import PageFormatError, StorageError
+from repro.nok.engine import QueryEngine
 from repro.storage.codecs import (
     CODEC_DELTA,
     CODEC_IDS,
     CODEC_NONE,
     CODEC_ZLIB,
     CompressedPageFormat,
+    PageColumns,
     PlainPageFormat,
     codes_container,
     decode_container,
@@ -33,7 +39,9 @@ from repro.storage.codecs import (
 from repro.storage.device import FileDevice, MemoryDevice, MmapDevice, open_device
 from repro.storage.encoding import NodeEntry
 from repro.storage.headers import PageHeader
+from repro.storage.nokstore import NoKStore
 from repro.storage.pagecache import DecodedPageCache
+from repro.xmark.generator import XMarkConfig, generate_document
 
 
 # -- container codecs: compress∘decompress = id --------------------------------
@@ -431,3 +439,29 @@ def test_decoded_cache_sizeof_fallback_for_plain_objects():
     cache = DecodedPageCache(capacity_bytes=1 << 20)
     cache.put(0, b"x" * 64)  # no nbytes attr: charged via sys.getsizeof
     assert cache.nbytes >= 64
+
+
+def test_decoded_cache_budget_counts_everything_a_cached_page_holds():
+    """After real matcher traffic the budget is honest: a cached page is
+    its header plus its columns — no row-shaped view rides along uncounted
+    — so the cache's byte total is the sum of the pages' column bytes."""
+    doc = generate_document(XMarkConfig(n_items=60, seed=3))
+    matrix = generate_synthetic_acl(
+        doc, SyntheticACLConfig(accessibility_ratio=0.7, seed=3), n_subjects=2
+    )
+    budget = 8 << 10
+    store = NoKStore(
+        doc, DOL.from_matrix(matrix), page_size=1024, decoded_cache_bytes=budget
+    )
+    engine = QueryEngine(doc, labeling=store.labeling, store=store)
+    assert engine.evaluate(QUERIES["Q1"], subject=0).stats.logical_page_reads > 0
+    store.entry(0)  # the row-shaped point API builds its record and drops it
+
+    cache = store.decoded_cache
+    pages = [decoded for decoded, _cost in cache._pages.values()]
+    assert len(pages) > 1
+    assert cache.stats.evictions > 0  # the budget did bind
+    for page in pages:
+        held = [getattr(page, slot) for slot in PageColumns.__slots__]
+        assert all(isinstance(value, (array, int, PageHeader)) for value in held)
+    assert cache.nbytes == sum(page.nbytes for page in pages) <= budget
