@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
-from repro.bench.concurrency import run_concurrency_bench, write_report
+from repro.bench.concurrency import run_concurrency_bench
+from repro.bench.reporting import write_report
 from repro.nok.engine import QueryEngine
 
 QUERIES = {

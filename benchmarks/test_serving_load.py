@@ -23,7 +23,7 @@ from repro.bench.loadgen import (
     gate_serving_report,
     run_serving_benchmark,
 )
-from repro.labeling.registry import build_labeling
+from repro.dol.labeling import DOL
 from repro.nok.engine import QueryEngine
 from repro.server.aserver import serve_async
 from repro.server.netserver import serve
@@ -39,7 +39,7 @@ def serving_engine():
     dataset = generate_livelink(
         n_items=300, n_groups=N_GROUPS, n_users=0, seed=7
     )
-    built = build_labeling("dol", dataset.doc, dataset.matrix, "add_items")
+    built = DOL.from_matrix(dataset.matrix, "add_items")
     store = NoKStore(dataset.doc, built, page_size=4096)
     engine = QueryEngine(dataset.doc, labeling=built, store=store)
     yield engine

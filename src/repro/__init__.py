@@ -21,14 +21,8 @@ DOL (the paper's contribution)
     :func:`repro.build_dol_streaming` — one-pass construction from XML text.
 
 Baseline
-    :class:`repro.CAM` — minimal Compressed Accessibility Map.
-
-Labeling backends
-    :class:`repro.AccessLabeling` — the pluggable backend interface;
-    :func:`repro.build_labeling` — build a backend by name
-    (``dol`` / ``cam`` / ``naive``);
-    :class:`repro.CAMLabeling` / :class:`repro.NaiveLabeling` — the
-    baseline engines behind the interface.
+    :class:`repro.CAM` — minimal Compressed Accessibility Map, the size
+    baseline the DOL is compared against (Figs. 4a/4b).
 
 Storage & querying
     :class:`repro.NoKStore` — block storage with embedded access codes;
@@ -65,14 +59,7 @@ from repro.exec.plancache import PlanCache
 from repro.exec.planner import PhysicalPlan, Planner
 from repro.exec.resultcache import ResultCache
 from repro.index.tagindex import TagIndex
-from repro.labeling import (
-    AccessLabeling,
-    CAMLabeling,
-    ClassDirectory,
-    NaiveLabeling,
-    build_labeling,
-    normalize_subjects,
-)
+from repro.labeling import ClassDirectory, normalize_subjects
 from repro.secure.dissemination import filter_xml
 from repro.secure.secured import SecuredDocument
 from repro.nok.engine import QueryEngine, QueryResult
@@ -92,16 +79,13 @@ __all__ = [
     "CAM",
     "CHO",
     "VIEW",
-    "AccessLabeling",
     "AccessMatrix",
     "AccessRule",
-    "CAMLabeling",
     "ClassDirectory",
     "Codebook",
     "DOL",
     "DOLUpdater",
     "MultiModeDOL",
-    "NaiveLabeling",
     "Document",
     "Node",
     "NoKStore",
@@ -123,7 +107,6 @@ __all__ = [
     "TagIndex",
     "__version__",
     "build_dol_streaming",
-    "build_labeling",
     "filter_xml",
     "generate_synthetic_acl",
     "normalize_subjects",

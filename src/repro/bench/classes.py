@@ -32,9 +32,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.acl.surrogates import generate_livelink
-from repro.bench.labeling import write_report
+from repro.bench.reporting import write_report
+from repro.dol.labeling import DOL
 from repro.errors import ReproError
-from repro.labeling.registry import build_labeling
 from repro.nok.engine import QueryEngine
 
 __all__ = [
@@ -85,7 +85,6 @@ def _build_engine(
     n_groups: int,
     n_real_users: int,
     mode: str,
-    labeling: str,
     seed: int,
     use_store: bool,
     page_size: int,
@@ -93,7 +92,7 @@ def _build_engine(
     dataset = generate_livelink(
         n_items=n_items, n_groups=n_groups, n_users=n_real_users, seed=seed
     )
-    built = build_labeling(labeling, dataset.doc, dataset.matrix, mode)
+    built = DOL.from_matrix(dataset.matrix, mode)
     store = None
     if use_store:
         from repro.storage.nokstore import NoKStore
@@ -117,7 +116,6 @@ def run_class_benchmark(
     queries: Optional[Dict[str, str]] = None,
     query_sample: int = 512,
     mode: str = DEFAULT_MODE,
-    labeling: str = "dol",
     use_store: bool = True,
     page_size: int = 2048,
     seed: int = 0,
@@ -136,15 +134,13 @@ def run_class_benchmark(
         "n_items": n_items,
         "n_groups": n_groups,
         "mode": mode,
-        "labeling": labeling,
         "queries": dict(queries),
         "seed": seed,
         "scales": {},
     }
     for n_users in user_counts:
         engine = _build_engine(
-            n_items, n_groups, n_real_users, mode, labeling, seed,
-            use_store, page_size,
+            n_items, n_groups, n_real_users, mode, seed, use_store, page_size,
         )
         users = simulated_user_sets(n_users, n_groups, seed=seed + 1)
 

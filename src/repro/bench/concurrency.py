@@ -21,7 +21,6 @@ The payload behind ``BENCH_concurrency.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -216,11 +215,3 @@ def run_concurrency_bench(
         report["buffer"] = engine.store.buffer.stats.snapshot()
         report["epoch"] = engine.store.epoch
     return report
-
-
-def write_report(report: Dict[str, object], path: str) -> str:
-    """Write the benchmark payload as JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

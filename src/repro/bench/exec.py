@@ -16,7 +16,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional
 
-from repro.bench.labeling import write_report
+from repro.bench.reporting import write_report
 from repro.bench.queries import QUERIES
 from repro.bench.workloads import secured_xmark
 from repro.errors import ReproError

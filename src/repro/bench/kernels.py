@@ -28,7 +28,7 @@ import time
 from array import array
 from typing import Dict, Optional, Sequence
 
-from repro.bench.labeling import write_report
+from repro.bench.reporting import write_report
 from repro.exec.kernels import active_kernels, available_backends
 from repro.labeling.runs import RunList
 from repro.storage.codecs import CompressedPageFormat

@@ -4,14 +4,24 @@ Every reproduced figure/table prints through these helpers so the bench
 logs read like the paper's tables: a caption, aligned columns, one row per
 measured point. :func:`serving_stamp` is the shared identity block for
 serving measurements, so BENCH_serving.json snapshots taken across PRs
-stay comparable point-by-point.
+stay comparable point-by-point; :func:`write_report` writes every
+suite's JSON payload.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
+
+
+def write_report(report: Dict[str, object], path: str) -> str:
+    """Write a benchmark payload as sorted, indented JSON; returns the path."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def serving_stamp(

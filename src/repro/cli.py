@@ -8,14 +8,13 @@ Subcommands
 ``inspect``
     Parse an XML file and print structural statistics.
 ``label``
-    Attach synthetic access controls, build every labeling backend (DOL,
-    CAM, naive), and print their sizes side by side.
+    Attach synthetic access controls, build the DOL, and print its size
+    beside the per-subject minimal CAMs and naive per-node labels (the
+    paper's Section 5.1.1 comparison).
 ``build``
-    Build a page store from an XML file with a chosen labeling backend
-    (``--labeling {dol,cam,naive}``) and save it to disk.
+    Build a page store from an XML file and save it to disk.
 ``query``
-    Evaluate a twig query against an XML file, optionally securely and
-    with a chosen labeling backend.
+    Evaluate a twig query against an XML file, optionally securely.
 ``explain``
     Print the NoK evaluation plan for a twig query.
 ``disseminate``
@@ -56,13 +55,10 @@ from typing import List, Optional
 
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
 from repro.bench.reporting import format_table
+from repro.cam.cam import CAM
+from repro.dol.labeling import DOL
 from repro.errors import ReproError
 from repro.labeling.classes import ClassDirectory, normalize_subjects
-from repro.labeling.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    build_labeling,
-)
 from repro.nok.engine import QueryEngine
 from repro.secure.semantics import CHO, SEMANTICS
 from repro.xmark.generator import XMarkConfig, generate
@@ -130,53 +126,37 @@ def _cmd_label(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     matrix = generate_synthetic_acl(doc, config, n_subjects=args.subjects)
-    wanted = (
-        available_backends() if args.labeling == "all" else (args.labeling,)
-    )
-    backends = {name: build_labeling(name, doc, matrix) for name in wanted}
+    dol = DOL.from_matrix(matrix)
+    # One minimal CAM per subject: CAM is a single-subject structure.
+    cams = [CAM.from_matrix(doc, matrix, s) for s in range(args.subjects)]
     rows = [
         ("document nodes", len(doc)),
         ("subjects", args.subjects),
+        ("DOL transition nodes", dol.n_transitions),
+        ("DOL codebook entries", len(dol.codebook)),
+        ("DOL total bytes", dol.size_bytes()),
+        ("CAM labels (all subjects)", sum(cam.n_labels for cam in cams)),
+        ("CAM total bytes", sum(cam.size_bytes() for cam in cams)),
+        ("naive labels (one per node)", len(doc)),
+        ("naive total bytes", len(doc) * ((args.subjects + 7) // 8)),
     ]
-    dol = backends.get("dol")
-    if dol is not None:
-        rows += [
-            ("DOL transition nodes", dol.n_labels),
-            ("DOL codebook entries", len(dol.codebook)),
-            ("DOL total bytes", dol.size_bytes()),
-        ]
-    cam = backends.get("cam")
-    if cam is not None:
-        rows += [
-            ("CAM labels (all subjects)", cam.n_labels),
-            ("CAM total bytes", cam.size_bytes()),
-        ]
-    naive = backends.get("naive")
-    if naive is not None:
-        rows += [
-            ("naive labels (one per node)", naive.n_labels),
-            ("naive total bytes", naive.size_bytes()),
-        ]
-    print(format_table("labeling backends", ["metric", "value"], rows))
+    print(format_table("labeling sizes", ["metric", "value"], rows))
     if args.classes:
-        class_rows = []
-        for name, labeling in sorted(backends.items()):
-            directory = ClassDirectory()
-            epoch_key = ("cli", name, labeling.runs_epoch)
-            singles = {
-                directory.class_of(labeling, epoch_key, (s,))
-                for s in range(args.subjects)
-            }
-            pairs = {
-                directory.class_of(labeling, epoch_key, (a, b))
-                for a in range(args.subjects)
-                for b in range(a + 1, args.subjects)
-            }
-            class_rows += [
-                (f"{name} distinct ACLs (atoms)", len(set(matrix.masks()))),
-                (f"{name} single-subject classes", len(singles)),
-                (f"{name} subject-pair classes", len(pairs)),
-            ]
+        directory = ClassDirectory()
+        epoch_key = ("cli", dol.runs_epoch)
+        singles = {
+            directory.class_of(dol, epoch_key, (s,)) for s in range(args.subjects)
+        }
+        pairs = {
+            directory.class_of(dol, epoch_key, (a, b))
+            for a in range(args.subjects)
+            for b in range(a + 1, args.subjects)
+        }
+        class_rows = [
+            ("distinct ACLs (atoms)", len(set(matrix.masks()))),
+            ("single-subject classes", len(singles)),
+            ("subject-pair classes", len(pairs)),
+        ]
         print(
             format_table(
                 "access classes (equal class = identical accessibility)",
@@ -200,16 +180,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     matrix = generate_synthetic_acl(doc, config, n_subjects=args.subjects)
-    labeling = build_labeling(args.labeling, doc, matrix)
+    labeling = DOL.from_matrix(matrix)
     with NoKStore(
         doc, labeling, path=args.store, page_size=args.page_size,
         codec=args.codec,
     ) as store:
         catalog = save_store(store)
         print(
-            f"built {args.labeling} store: {store.n_nodes} nodes on "
+            f"built store: {store.n_nodes} nodes on "
             f"{store.n_pages} pages ({store.entries_per_page}/page, "
-            f"codec {args.codec}), {labeling.n_labels} labels "
+            f"codec {args.codec}), {labeling.n_transitions} transitions "
             f"({labeling.size_bytes()} bytes)"
         )
         print(
@@ -227,7 +207,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         n_subjects = max(normalize_subjects(args.subject)) + 1
         matrix = generate_synthetic_acl(config=config, doc=doc, n_subjects=n_subjects)
-        engine = QueryEngine.build(doc, matrix, labeling=args.labeling)
+        engine = QueryEngine.build(doc, matrix)
     else:
         engine = QueryEngine.build(doc)
 
@@ -286,7 +266,7 @@ def _cmd_disseminate(args: argparse.Namespace) -> int:
         accessibility_ratio=args.accessibility, seed=args.seed
     )
     matrix = generate_synthetic_acl(doc, config, n_subjects=args.subject + 1)
-    labeling = build_labeling(args.labeling, doc, matrix)
+    labeling = DOL.from_matrix(matrix)
     with open(args.file, "r", encoding="utf-8") as handle:
         xml_text = handle.read()
     out = filter_xml(xml_text, labeling, args.subject, args.policy)
@@ -310,9 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     matrix = generate_synthetic_acl(doc, config, n_subjects=args.subjects)
-    engine = QueryEngine.build(
-        doc, matrix, use_store=True, labeling=args.labeling
-    )
+    engine = QueryEngine.build(doc, matrix, use_store=True)
     chaos = None
     if args.chaos_seed is not None:
         chaos = default_chaos(args.chaos_seed)
@@ -325,8 +303,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service_config.max_request_bytes = args.max_request_bytes
     service = QueryService(engine, service_config, chaos=chaos)
     print(
-        f"serving {args.file} ({len(doc)} nodes, {args.subjects} subjects, "
-        f"{args.labeling} labeling) on {args.host}:{args.port} "
+        f"serving {args.file} ({len(doc)} nodes, {args.subjects} subjects) "
+        f"on {args.host}:{args.port} "
         f"with {args.workers} workers ({args.server} server)"
     )
     if chaos is not None:
@@ -371,7 +349,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro.acl.surrogates import generate_livelink
     from repro.bench.loadgen import gate_serving_report, run_serving_benchmark
-    from repro.labeling.registry import build_labeling
     from repro.server.aserver import serve_async
     from repro.server.netserver import serve
     from repro.server.service import QueryService, ServiceConfig
@@ -383,7 +360,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_users=0,
         seed=args.seed,
     )
-    built = build_labeling(args.labeling, dataset.doc, dataset.matrix, "add_items")
+    built = DOL.from_matrix(dataset.matrix, "add_items")
     store = NoKStore(dataset.doc, built, page_size=4096)
     engine = QueryEngine(dataset.doc, labeling=built, store=store)
     config = ServiceConfig(workers=args.workers, queue_depth=args.queue_depth)
@@ -611,22 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("file")
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    backend_names = available_backends()
-
     p_label = sub.add_parser(
-        "label", help="build the labeling backends and compare sizes"
+        "label", help="build the DOL and compare its size to CAM and naive labels"
     )
     p_label.add_argument("file")
     p_label.add_argument("--subjects", type=int, default=1)
     p_label.add_argument("--accessibility", type=float, default=0.5)
     p_label.add_argument("--propagation", type=float, default=0.3)
     p_label.add_argument("--seed", type=int, default=0)
-    p_label.add_argument(
-        "--labeling",
-        choices=backend_names + ("all",),
-        default="all",
-        help="report one backend only (default: all side by side)",
-    )
     p_label.add_argument(
         "--classes",
         action="store_true",
@@ -644,9 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--propagation", type=float, default=0.3)
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--page-size", type=int, default=4096)
-    p_build.add_argument(
-        "--labeling", choices=backend_names, default=DEFAULT_BACKEND
-    )
     p_build.add_argument(
         "--codec",
         choices=("none", "zlib", "structure-delta"),
@@ -668,12 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation (rights are the union)",
     )
     p_query.add_argument("--semantics", choices=SEMANTICS, default=CHO)
-    p_query.add_argument(
-        "--labeling",
-        choices=backend_names,
-        default=DEFAULT_BACKEND,
-        help="access-labeling backend for secure evaluation",
-    )
     p_query.add_argument("--accessibility", type=float, default=0.7)
     p_query.add_argument("--seed", type=int, default=0)
     p_query.add_argument("--limit", type=int, default=10)
@@ -737,9 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diss.add_argument("file")
     p_diss.add_argument("--subject", type=int, default=0)
     p_diss.add_argument("--policy", choices=("prune", "hoist"), default="prune")
-    p_diss.add_argument(
-        "--labeling", choices=backend_names, default=DEFAULT_BACKEND
-    )
     p_diss.add_argument("--accessibility", type=float, default=0.7)
     p_diss.add_argument("--seed", type=int, default=0)
     p_diss.add_argument("-o", "--output")
@@ -783,9 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--timeout", type=float, default=30.0,
         help="per-request deadline in seconds (0 disables)",
-    )
-    p_serve.add_argument(
-        "--labeling", default=DEFAULT_BACKEND, choices=available_backends()
     )
     p_serve.add_argument("--subjects", type=int, default=8)
     p_serve.add_argument("--propagation", type=float, default=0.85)
@@ -833,9 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="requests per profile")
     p_loadgen.add_argument("--rate", type=float, default=400.0,
                            help="offered load in requests/second")
-    p_loadgen.add_argument(
-        "--labeling", default=DEFAULT_BACKEND, choices=available_backends()
-    )
     p_loadgen.add_argument("--seed", type=int, default=0)
     p_loadgen.add_argument("--out", default="BENCH_serving.json")
     p_loadgen.add_argument(

@@ -8,7 +8,7 @@ in memory — the paper estimates ~4 MB for 8,639 subjects and ~4,000 entries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import CodebookError
 
@@ -22,6 +22,20 @@ class Codebook:
         self.n_subjects = n_subjects
         self._mask_to_code: Dict[int, int] = {}
         self._code_to_mask: List[int] = []
+
+    @classmethod
+    def from_entries(cls, n_subjects: int, masks: Sequence[int]) -> "Codebook":
+        """Rebuild a saved codebook: entry ``i`` decodes to ``masks[i]``.
+
+        Positional, so duplicate entries (left by :meth:`remove_subject`
+        until the lazy correction) keep their codes; :meth:`encode` then
+        returns the lowest code of each mask, as before the save.
+        """
+        book = cls(n_subjects)
+        for mask in masks:
+            book.encode(mask)  # validates the mask
+        book._replace_entries(list(masks))
+        return book
 
     def encode(self, mask: int) -> int:
         """Return the code for ``mask``, registering it if new."""
@@ -104,6 +118,18 @@ class Codebook:
             raise CodebookError(f"subject {subject} out of range")
         bit = 1 << subject
         self._replace_entries([mask & ~bit for mask in self._code_to_mask])
+
+    def truncate(self, n_entries: int) -> None:
+        """Forget every entry with code >= ``n_entries``.
+
+        Undoes the :meth:`encode` registrations made since the codebook
+        had ``n_entries`` entries (a failed update's rollback); costs
+        O(entries dropped).
+        """
+        for mask in self._code_to_mask[n_entries:]:
+            if self._mask_to_code.get(mask, -1) >= n_entries:
+                del self._mask_to_code[mask]
+        del self._code_to_mask[n_entries:]
 
     def duplicate_entry_count(self) -> int:
         """Number of redundant entries awaiting lazy compaction."""

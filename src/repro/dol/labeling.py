@@ -5,14 +5,13 @@ access control codes, plus the shared :class:`~repro.dol.codebook.Codebook`.
 Construction is a single linear scan over per-node bitmasks in document
 order; lookup is a binary search for the nearest preceding transition.
 
-:class:`DOL` is the ``"dol"`` backend of the pluggable
-:class:`~repro.labeling.base.AccessLabeling` interface — the only backend
-with ``has_page_hints``: its transition codes embed into
-:class:`~repro.storage.nokstore.NoKStore` pages (the on-disk format is
-unchanged by the interface), enabling the Section 3.3 page-skip test and
-zero-I/O accessibility checks. Update hooks delegate to
+The DOL is the one access labeling the system stores and queries: its
+transition codes embed into :class:`~repro.storage.nokstore.NoKStore`
+pages, enabling the Section 3.3 page-skip test and zero-I/O
+accessibility checks. Update hooks delegate to
 :class:`~repro.dol.updates.DOLUpdater`, the local splice that Proposition
-1 bounds at two extra transitions per operation.
+1 bounds at two extra transitions per operation. (CAM, the prior art,
+lives in :mod:`repro.cam.cam` as the size baseline of Figs. 4a/4b.)
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.acl.model import READ, AccessMatrix
 from repro.dol.codebook import Codebook
 from repro.errors import AccessControlError
-from repro.labeling.base import AccessLabeling, MaskFn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.xmltree.document import Document
+    from repro.dol.updates import DOLUpdater, MaskFn
 
 
 def transitions_from_masks(masks: Sequence[int]) -> List[Tuple[int, int]]:
@@ -51,7 +49,7 @@ def transition_count(vector: Sequence[bool]) -> int:
     return len(transitions_from_masks([int(v) for v in vector]))
 
 
-class DOL(AccessLabeling):
+class DOL:
     """Document Ordered Labeling of one document (one action mode).
 
     Attributes
@@ -65,9 +63,6 @@ class DOL(AccessLabeling):
         ``positions[0] == 0``; ``codes[i]`` is the access control code in
         effect from ``positions[i]`` up to the next transition.
     """
-
-    backend_name = "dol"
-    has_page_hints = True
 
     def __init__(self, n_nodes: int, codebook: Codebook):
         if n_nodes <= 0:
@@ -106,17 +101,6 @@ class DOL(AccessLabeling):
         """Build a single-subject DOL from a +/- accessibility vector."""
         return cls.from_masks([int(v) for v in vector], n_subjects=1)
 
-    @classmethod
-    def build(
-        cls, doc: "Document", matrix: AccessMatrix, mode: str = READ
-    ) -> "DOL":
-        """The :class:`~repro.labeling.base.AccessLabeling` constructor.
-
-        A DOL is purely positional — the document argument only sets the
-        expectation that ``matrix`` covers it (checked by the registry).
-        """
-        return cls.from_matrix(matrix, mode)
-
     # -- lookup (Section 3.3) --------------------------------------------------
 
     def transition_index_for(self, pos: int) -> int:
@@ -154,10 +138,12 @@ class DOL(AccessLabeling):
 
     # -- bulk accessibility (run-length intervals) -----------------------------
     #
-    # The DOL *is* a run-length encoding: a run boundary can only sit at
-    # a transition node, so decoding the transition codes straight into
-    # run lists costs O(transitions in range) — the native form of the
-    # AccessLabeling bulk API (the generic fallback probes every node).
+    # Accessibility is piecewise constant in document order (Section 2),
+    # and the DOL *is* its run-length encoding: a run boundary can only
+    # sit at a transition node, so decoding the transition codes straight
+    # into run lists costs O(transitions in range). The yielded (start,
+    # end, accessible) triples are half-open, tile [lo, hi) exactly, and
+    # are maximal — consecutive runs differ in their flag.
 
     def access_runs(self, subject, lo=0, hi=None):
         """Maximal runs for one subject, decoded from the transition list."""
@@ -180,16 +166,28 @@ class DOL(AccessLabeling):
             self.positions, self.codes, self.codebook, subjects, lo, hi
         )
 
+    def _check_range(self, lo: int, hi: "int | None") -> "Tuple[int, int]":
+        hi = self.n_nodes if hi is None else hi
+        if not 0 <= lo <= hi <= self.n_nodes:
+            raise AccessControlError(f"invalid run range [{lo}, {hi})")
+        return lo, hi
+
     # -- access classes --------------------------------------------------------
+    #
+    # Two subject sets whose bits intersect exactly the same distinct
+    # ACLs ("atoms") see exactly the same accessibility at every node —
+    # they are in the same *access class* and every derived artifact
+    # (run list, plan, answer) is shared. The signature is a small bitmap
+    # over the atom list, recomputed per runs_epoch.
 
     def _signature_atoms(self) -> "Tuple[int, ...]":
         """Distinct ACLs straight off the codebook columns the DOL references.
 
-        O(transitions) instead of the generic O(nodes) mask expansion:
-        the distinct codes in the transition list *are* the distinct
-        ACLs, decoded through the shared codebook. (Codebook entries no
-        transition references — e.g. after an update rewrote a range —
-        are correctly excluded: no node carries them.)
+        O(transitions), not O(nodes): the distinct codes in the
+        transition list *are* the distinct ACLs, decoded through the
+        shared codebook. (Codebook entries no transition references —
+        e.g. after an update rewrote a range — are correctly excluded:
+        no node carries them.)
         """
         cached = getattr(self, "_sig_atoms", None)
         epoch = self.runs_epoch
@@ -200,6 +198,58 @@ class DOL(AccessLabeling):
         )
         self._sig_atoms = (epoch, atoms)
         return atoms
+
+    def access_signature(self, subjects: Sequence[int]) -> int:
+        """Bitmap of distinct ACLs the subject set can see (its class key).
+
+        Bit *i* is set iff the subjects' union intersects the *i*-th
+        distinct ACL of the labeling. Equal signatures (under one
+        ``runs_epoch``) imply node-for-node identical accessibility for
+        the whole subject set — the accessibility-equivalence relation
+        the :class:`~repro.labeling.classes.ClassDirectory` partitions
+        by. Cost after the per-epoch atom build: O(distinct ACLs).
+        """
+        subjects = tuple(subjects)
+        if not subjects:
+            raise AccessControlError("access_signature needs >= 1 subject")
+        bits = 0
+        for subject in subjects:
+            bits |= 1 << subject
+        signature = 0
+        for index, mask in enumerate(self._signature_atoms()):
+            if mask & bits:
+                signature |= 1 << index
+        return signature
+
+    def access_class(self, subjects: Sequence[int], semantics: str = "cho") -> int:
+        """The subject set's accessibility-equivalence class signature.
+
+        Valid under the current :attr:`runs_epoch` only — an update
+        re-partitions. The signature is semantics-invariant: view-path
+        accessibility is a deterministic function of node accessibility
+        and document shape, so sets equal under cho are equal under view
+        too; ``semantics`` is validated and otherwise ignored.
+        """
+        from repro.secure.semantics import SEMANTICS
+
+        if semantics not in SEMANTICS:
+            raise AccessControlError(f"unknown semantics {semantics!r}")
+        return self.access_signature(subjects)
+
+    @property
+    def runs_epoch(self) -> int:
+        """Monotone version of the labeling's accessibility content.
+
+        Every update bumps it; a cached artifact derived from the
+        labeling (decoded run lists, most importantly) is valid exactly
+        as long as the ``runs_epoch`` it was keyed under is current.
+        Store-backed evaluation keys on the store epoch instead — the
+        snapshot's labeling clone is frozen for its lifetime.
+        """
+        return getattr(self, "_runs_epoch", 0)
+
+    def _bump_runs_epoch(self) -> None:
+        self._runs_epoch = self.runs_epoch + 1
 
     # -- reconstruction & metrics ----------------------------------------------
 
@@ -219,11 +269,6 @@ class DOL(AccessLabeling):
     @property
     def n_transitions(self) -> int:
         """Number of transition nodes (the paper's primary size metric)."""
-        return len(self.positions)
-
-    @property
-    def n_labels(self) -> int:
-        """Backend size metric: for a DOL, the transition count."""
         return len(self.positions)
 
     def transition_density(self) -> float:
@@ -258,13 +303,11 @@ class DOL(AccessLabeling):
         for code in self.codes:
             self.codebook.decode(code)
 
-    # -- catalog serialization (AccessLabeling) --------------------------------
+    # -- catalog serialization ---------------------------------------------------
     #
     # A store-backed DOL round-trips through the page file itself (the
-    # embedded transition codes ARE the serialization — the format the
-    # paper designed, unchanged by the backend interface); the catalog
-    # payload below is the page-free fallback used when a DOL must travel
-    # without its pages.
+    # embedded transition codes ARE the serialization); the payload below
+    # is the page-free form used when a DOL must travel without its pages.
 
     def to_catalog(self) -> Dict[str, object]:
         return {
@@ -276,25 +319,40 @@ class DOL(AccessLabeling):
         }
 
     @classmethod
-    def from_catalog(cls, payload: Dict[str, object], doc: "Document") -> "DOL":
-        codebook = Codebook(payload["n_subjects"])
-        for mask_hex in payload["codebook"]:
-            codebook.encode(int(mask_hex, 16))
+    def from_catalog(cls, payload: Dict[str, object]) -> "DOL":
+        codebook = Codebook.from_entries(
+            payload["n_subjects"],
+            [int(mask_hex, 16) for mask_hex in payload["codebook"]],
+        )
         dol = cls(payload["n_nodes"], codebook)
         dol.positions = list(payload["positions"])
         dol.codes = list(payload["codes"])
         dol.validate()
         return dol
 
-    # -- update hooks (AccessLabeling; Section 3.4) ----------------------------
+    # -- updates (Section 3.4) ---------------------------------------------------
     #
-    # Delegated to DOLUpdater — the local transition splice. Unlike the
-    # generic rebuild-from-masks defaults, these touch only the segment
-    # list covering the range; Proposition 1 bounds each operation at two
-    # extra transitions.
+    # Delegated to DOLUpdater — the local transition splice: only the
+    # segment list covering the range is touched, and Proposition 1
+    # bounds each operation at two extra transitions. Each returns the
+    # transition-count delta and bumps :attr:`runs_epoch`.
 
-    def transform_range(self, start: int, end: int, fn: MaskFn) -> int:
+    def transform_range(self, start: int, end: int, fn: "MaskFn") -> int:
         return self._updater().transform_range(start, end, fn)
+
+    def set_node_mask(self, pos: int, mask: int) -> int:
+        return self._updater().set_node_mask(pos, mask)
+
+    def set_range_mask(self, start: int, end: int, mask: int) -> int:
+        return self._updater().set_range_mask(start, end, mask)
+
+    def set_subject_accessibility(
+        self, start: int, end: int, subject: int, value: bool
+    ) -> int:
+        return self._updater().set_subject_accessibility(start, end, subject, value)
+
+    def set_node_accessibility(self, pos: int, subject: int, value: bool) -> int:
+        return self._updater().set_node_accessibility(pos, subject, value)
 
     def insert_range(self, at: int, masks: Sequence[int]) -> int:
         return self._updater().insert_range(at, masks)
@@ -305,22 +363,10 @@ class DOL(AccessLabeling):
     def move_range(self, start: int, end: int, to: int) -> int:
         return self._updater().move_range(start, end, to)
 
-    def _updater(self):
+    def _updater(self) -> "DOLUpdater":
         from repro.dol.updates import DOLUpdater
 
         return DOLUpdater(self)
-
-    def _install_masks(self, masks: List[int]) -> None:
-        """Full rebuild fallback (the update hooks above splice locally)."""
-        if not masks:
-            raise AccessControlError("cannot label an empty document")
-        self.n_nodes = len(masks)
-        self.positions = []
-        self.codes = []
-        for pos, mask in transitions_from_masks(masks):
-            self.positions.append(pos)
-            self.codes.append(self.codebook.encode(mask))
-        self._bump_runs_epoch()
 
     def clone(self) -> "DOL":
         """Independent copy: own transition lists, own codebook.

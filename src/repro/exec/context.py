@@ -2,8 +2,8 @@
 
 One :class:`ExecutionContext` is threaded through every operator of a
 compiled plan. It carries the data source (in-memory document or block
-store), the access labeling (any :class:`~repro.labeling.base.AccessLabeling`
-backend — DOL, CAM, or naive), the tag index, the secure-evaluation
+store), the access labeling (a :class:`~repro.dol.labeling.DOL`), the
+tag index, the secure-evaluation
 subject(s) and semantics, and the measurement state: the query-level
 :class:`EvalStats` plus the per-subject path-accessibility oracle
 (:class:`PathAccessIndex`) used by view semantics.
@@ -22,8 +22,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.dol.labeling import DOL
 from repro.errors import PageCorruptionError, ReproError
-from repro.labeling.base import AccessLabeling
 from repro.labeling.classes import normalize_subjects
 from repro.labeling.runs import RunCache, RunList
 from repro.secure.semantics import CHO, SEMANTICS, VIEW
@@ -42,10 +42,7 @@ class EvalStats:
     access_checks: int = 0
     candidates: int = 0
     candidates_skipped_by_header: int = 0
-    #: candidates dropped by the run-list test in PageSkipScan (the
-    #: hint-free bulk path — each was decided once at run-decode time)
-    candidates_skipped_by_runs: int = 0
-    #: per-node backend probes avoided because the answer came from a
+    #: per-node probes avoided because the answer came from a
     #: decoded accessibility run interval instead
     probes_saved: int = 0
     run_cache_hits: int = 0
@@ -124,8 +121,8 @@ class PathAccessIndex:
     position of the deepest inaccessible node on the root-to-pos path
     (including ``pos`` itself), or ``NO_NODE`` if the whole path is
     accessible, so the path test is O(1) per pair without extra page
-    reads. Computed in one linear scan over the document using the access
-    labeling (any backend — only per-node masks are consumed).
+    reads. Computed in one linear scan over the document and the DOL's
+    per-node masks.
 
     The index is the subject's pruned view materialised: a function of
     the document version and the access class, not of the query. It is
@@ -133,7 +130,7 @@ class PathAccessIndex:
     one per (epoch, class) between queries and threads.
     """
 
-    def __init__(self, doc: Document, labeling: AccessLabeling, subject):
+    def __init__(self, doc: Document, labeling: DOL, subject):
         self.doc = doc
         n = len(doc)
         blocked = array("i", [NO_NODE]) * n
@@ -178,19 +175,16 @@ class ExecutionContext:
     Section 4's footnote), owns the per-query :class:`EvalStats`, and
     lazily builds the ACCESS function appropriate to the semantics:
 
-    - Cho semantics: node-level accessibility straight from the store's
-      embedded codes (no extra I/O for backends with page hints) or the
-      in-memory labeling;
+    - Cho semantics: node-level accessibility from the decoded run list
+      of the DOL (no page I/O);
     - view semantics: whole-root-path accessibility via the
       :class:`PathAccessIndex` (the pruned-view model).
-
-    ``labeling`` accepts any backend.
     """
 
     def __init__(
         self,
         doc: Document,
-        labeling: Optional[AccessLabeling] = None,
+        labeling: Optional[DOL] = None,
         store: Optional[NoKStore] = None,
         index=None,
         subject: Optional[Subject] = None,
@@ -410,9 +404,8 @@ class ExecutionContext:
 
         # Cho semantics: node-level accessibility, answered from the
         # decoded run list — a bisect over run boundaries instead of a
-        # per-node backend probe (CAM ancestor walk, store code read),
-        # and zero I/O even store-backed. Each answered check is a probe
-        # the backend never had to perform.
+        # per-node code read, and zero I/O even store-backed. Each
+        # answered check is a probe the labeling never had to perform.
         run_list = self.run_list()
 
         def run_access(pos: int) -> bool:

@@ -23,9 +23,8 @@ Batch types are uniform per plan edge:
   batches, staying columnar whenever both inputs are;
 - :class:`Project` reduces bindings to distinct returning-node positions.
 
-:class:`AccessFilter` and the hint-free :class:`PageSkipScan` route
-intersect whole batches against the query's decoded accessibility run
-list (:meth:`~repro.exec.context.ExecutionContext.run_list`) through the
+:class:`AccessFilter` intersects whole batches against the query's
+decoded accessibility run list (:meth:`~repro.exec.context.ExecutionContext.run_list`) through the
 active array kernel (:mod:`repro.exec.kernels`); :class:`RootVerify` and
 :class:`STDJoin` use the same kernels over page tag columns and sorted
 position arrays.
@@ -245,21 +244,13 @@ class PageSkipScan(Operator):
     Candidate batches arrive sorted, so each batch splits into runs of
     positions sharing a page; the quarantine (degraded mode) and header
     tests run once per group, header verdicts additionally memoized for
-    the query. The header test requires a labeling backend with page
-    hints (the DOL's embedded transition codes). Hint-free backends (CAM,
-    naive) take the bulk route instead: the surviving batch is
-    intersected against the query's decoded accessibility run list
-    through the array kernel — every node was decided once at run-decode
-    time, so no candidate reaches :class:`AccessFilter` only to be
-    re-probed and rejected.
+    the query.
     """
 
     name = "PageSkipScan"
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
         store, subjects, stats = ctx.store, ctx.subjects, ctx.stats
-        has_hints = store.has_page_hints
-        run_list = None if has_hints else ctx.run_list()
         entries_per_page = store.entries_per_page
         header_skips: Dict[int, bool] = {}
         for batch in self.child.execute(ctx):
@@ -272,7 +263,7 @@ class PageSkipScan(Operator):
                 if not ctx.strict and page_id in store.quarantined:
                     stats.candidates_skipped_corrupt += count
                     self.stats.bump("skipped_corrupt", count)
-                elif has_hints:
+                else:
                     skip = header_skips.get(page_id)
                     if skip is None:
                         skip = store.page_fully_inaccessible_any(page_id, subjects)
@@ -282,17 +273,7 @@ class PageSkipScan(Operator):
                         self.stats.bump("skipped", count)
                     else:
                         out.extend(batch[i:j])
-                else:
-                    out.extend(batch[i:j])
                 i = j
-            if run_list is not None and out:
-                kept = run_list.filter_positions(out)
-                dropped = len(out) - len(kept)
-                if dropped:
-                    stats.candidates_skipped_by_runs += dropped
-                    stats.probes_saved += dropped
-                    self.stats.bump("skipped_runs", dropped)
-                out = kept
             if out:
                 yield out
 

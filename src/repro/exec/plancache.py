@@ -15,7 +15,7 @@ serving workload actually repeats: class-equivalent subject sets (two
 users whose rights collapse to the same accessibility behavior, see
 :mod:`repro.labeling.classes`) share one entry, so cache population is
 bounded by the number of *classes*, not the number of users. Engines
-without a labeling backend (storeless/in-memory non-secure evaluation)
+without a labeling (storeless/in-memory non-secure evaluation)
 have no class directory to consult; for them the compatibility path keys
 on the normalized subject tuple instead — same shape, same sharing
 semantics, just without the cross-subject collapse. Entries are

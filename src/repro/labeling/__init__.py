@@ -1,41 +1,37 @@
-"""Pluggable access-control labeling backends.
+"""Accessibility derived from the DOL: run lists and access classes.
 
-One interface (:class:`AccessLabeling`), three engines:
+- :mod:`~repro.labeling.runs` — decoded accessibility run lists (the
+  bulk form of the ACCESS check) and the cache that shares them;
+- :mod:`~repro.labeling.classes` — access classes: subject sets with
+  identical accessibility share every derived artifact.
 
-- ``dol`` — :class:`repro.dol.labeling.DOL`, the paper's contribution
-  (transition codes + codebook, embedded in store pages);
-- ``cam`` — :class:`CAMLabeling`, per-subject Compressed Accessibility
-  Maps (the prior-art baseline, Yu et al.);
-- ``naive`` — :class:`NaiveLabeling`, explicit per-node ACLs (the
-  strawman).
-
-All three answer the same probes, serialize through the store catalog,
-and support the Section 3.4 update operations, so the paper's DOL-vs-CAM
-head-to-head runs end-to-end through the real query engine, and a
-cross-backend differential suite serves as the secure-semantics oracle.
+The labeling itself is :class:`repro.dol.labeling.DOL`; :func:`build_labeling`
+builds one from an accessibility matrix after checking it covers the
+document.
 """
 
-from repro.labeling.base import AccessLabeling
-from repro.labeling.cam_backend import CAMLabeling
+from repro.acl.model import READ, AccessMatrix
+from repro.dol.labeling import DOL
+from repro.errors import AccessControlError
 from repro.labeling.classes import ClassDirectory, normalize_subjects
-from repro.labeling.naive import NaiveLabeling
-from repro.labeling.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    build_labeling,
-    get_backend,
-    register_backend,
-)
+from repro.xmltree.document import Document
+
+
+def build_labeling(
+    name: str, doc: Document, matrix: AccessMatrix, mode: str = READ
+) -> DOL:
+    """Build the DOL of one mode of ``matrix`` (``name`` must be ``"dol"``)."""
+    if name != "dol":
+        raise AccessControlError(f"unknown labeling {name!r} (only 'dol' exists)")
+    if matrix.n_nodes != len(doc):
+        raise AccessControlError(
+            f"matrix covers {matrix.n_nodes} nodes, document has {len(doc)}"
+        )
+    return DOL.from_matrix(matrix, mode)
+
 
 __all__ = [
-    "AccessLabeling",
-    "CAMLabeling",
     "ClassDirectory",
-    "DEFAULT_BACKEND",
-    "NaiveLabeling",
-    "available_backends",
     "build_labeling",
-    "get_backend",
     "normalize_subjects",
-    "register_backend",
 ]

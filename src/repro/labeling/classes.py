@@ -17,8 +17,8 @@ Two pieces live here:
   deduplicated and sorted. Duplicate or unsorted inputs therefore hit the
   same cache entries everywhere.
 - :class:`ClassDirectory` — maps a (labeling epoch, subject set) to a
-  dense class id via the backend's
-  :meth:`~repro.labeling.base.AccessLabeling.access_class` signature.
+  dense class id via the DOL's
+  :meth:`~repro.dol.labeling.DOL.access_class` signature.
   Ids are globally unique across the directory's lifetime (the counter
   never resets), so a cache entry keyed on ``(epoch, class_id)`` can
   never alias a different accessibility behavior even across
@@ -108,9 +108,9 @@ class ClassDirectory:
 
         The subject set is normalized first, so duplicate/unsorted inputs
         share a memo entry. The signature computation
-        (:meth:`~repro.labeling.base.AccessLabeling.access_class`) runs
-        outside the lock — it is O(distinct ACLs) after the backend's
-        per-epoch atom list is built.
+        (:meth:`~repro.dol.labeling.DOL.access_class`) runs outside the
+        lock — it is O(distinct ACLs) after the DOL's per-epoch atom list
+        is built.
         """
         subjects = normalize_subjects(subject)
         if subjects is None:

@@ -19,17 +19,17 @@ module gives it a first-class representation:
   commit bumps the store epoch (or the labeling's ``runs_epoch``), which
   changes every key derived from it; stale entries age out of the LRU.
 
-Run *production* lives with the backends
-(:meth:`~repro.labeling.base.AccessLabeling.access_runs`); this module
-only represents, combines, and caches them, so it must not import any
-concrete backend.
+Run *production* lives with the labeling
+(:meth:`~repro.dol.labeling.DOL.access_runs` decodes them straight from
+the transition list); this module only represents and caches them, so it
+must not import the DOL.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,8 +44,8 @@ def runs_from_predicate(
 ) -> Iterator[Run]:
     """Maximal runs of a per-node predicate over ``[lo, hi)``.
 
-    The generic fallback used by backends without run-native decoding
-    (one predicate call per node, merged into maximal intervals).
+    One predicate call per node, merged into maximal intervals — the
+    per-node reference the DOL's native decoding is tested against.
     """
     if lo >= hi:
         return
@@ -72,36 +72,6 @@ def runs_from_flags(flags: Sequence[bool], lo: int = 0) -> Iterator[Run]:
             yield (run_start, lo + i, run_flag)
             run_start, run_flag = lo + i, flag
     yield (run_start, lo + n, run_flag)
-
-
-def union_runs(run_iters: Iterable[Iterable[Run]], lo: int, hi: int) -> Iterator[Run]:
-    """Union the accessible intervals of several run sequences over ``[lo, hi)``.
-
-    The user-level combinator (Section 4's footnote: a user's rights are
-    the union of her subjects'), used by backends whose native decoding
-    is per subject (one CAM per subject).
-    """
-    if lo >= hi:
-        return
-    intervals: List[Tuple[int, int]] = []
-    for runs in run_iters:
-        intervals.extend((start, end) for start, end, flag in runs if flag)
-    intervals.sort()
-    merged: List[Tuple[int, int]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    cursor = lo
-    for start, end in merged:
-        if start > cursor:
-            yield (cursor, start, False)
-        yield (start, end, True)
-        cursor = end
-    if cursor < hi:
-        yield (cursor, hi, False)
 
 
 class RunList:

@@ -24,14 +24,14 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.acl.model import READ, AccessMatrix
+from repro.dol.labeling import DOL
 from repro.errors import ReproError
 from repro.exec.context import EvalStats, ExecutionContext, QueryResult
 from repro.exec.plancache import PlanCache, plan_key
 from repro.exec.resultcache import ResultCache
-from repro.labeling.base import AccessLabeling
+from repro.labeling import build_labeling
 from repro.labeling.classes import ClassDirectory, normalize_subjects
 from repro.labeling.runs import RunCache
-from repro.labeling.registry import DEFAULT_BACKEND, build_labeling
 from repro.index.tagindex import TagIndex
 from repro.nok.decompose import Decomposition, decompose
 from repro.nok.pattern import CHILD, PatternTree, parse_query
@@ -44,16 +44,12 @@ __all__ = ["EvalStats", "QueryEngine", "QueryResult"]
 
 
 class QueryEngine:
-    """Twig query evaluator with optional labeling-based access control.
-
-    The labeling may be any :class:`~repro.labeling.base.AccessLabeling`
-    backend (DOL, CAM, naive).
-    """
+    """Twig query evaluator with optional DOL-based access control."""
 
     def __init__(
         self,
         doc: Document,
-        labeling: Optional[AccessLabeling] = None,
+        labeling: Optional[DOL] = None,
         store: Optional[NoKStore] = None,
         index: Optional[TagIndex] = None,
         plan_cache_size: int = 128,
@@ -92,17 +88,15 @@ class QueryEngine:
         page_size: int = 4096,
         buffer_capacity: int = 64,
         store_path: Optional[str] = None,
-        labeling: str = DEFAULT_BACKEND,
         codec=None,
     ) -> "QueryEngine":
-        """Construct an engine, optionally with labeling and block storage.
+        """Construct an engine, optionally with a DOL and block storage.
 
-        ``labeling`` names the access-labeling backend (``"dol"``,
-        ``"cam"``, or ``"naive"``) built from ``matrix``; ``codec`` the
+        The DOL is built from ``mode`` of ``matrix``; ``codec`` is the
         page codec for the block store (``use_store=True`` only).
         """
         built = (
-            build_labeling(labeling, doc, matrix, mode)
+            build_labeling("dol", doc, matrix, mode)
             if matrix is not None
             else None
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.labeling.base import AccessLabeling
+from repro.dol.labeling import DOL
 from repro.errors import AccessControlError
 from repro.xmltree import parser
 from repro.xmltree.document import NO_NODE
@@ -37,7 +37,7 @@ _POLICIES = (PRUNE, HOIST)
 
 def filter_xml(
     xml_text: str,
-    labeling: AccessLabeling,
+    labeling: DOL,
     subject: int,
     policy: str = PRUNE,
 ) -> str:
@@ -113,7 +113,7 @@ def filter_xml(
     return "".join(out)
 
 
-def visible_positions(labeling: AccessLabeling, subject: int, doc) -> List[int]:
+def visible_positions(labeling: DOL, subject: int, doc) -> List[int]:
     """Positions surviving PRUNE filtering (view-visible nodes).
 
     A node survives iff every node on its root path, itself included, is
@@ -131,7 +131,7 @@ def visible_positions(labeling: AccessLabeling, subject: int, doc) -> List[int]:
     return visible
 
 
-def hoisted_positions(labeling: AccessLabeling, subject: int) -> List[int]:
+def hoisted_positions(labeling: DOL, subject: int) -> List[int]:
     """Positions surviving HOIST filtering: simply the accessible nodes."""
     return [
         pos for pos in range(labeling.n_nodes) if labeling.accessible(subject, pos)
@@ -257,7 +257,7 @@ class AnswerFragmentStream:
             close()
 
 
-def _can_see(labeling: AccessLabeling, subject, pos: int) -> bool:
+def _can_see(labeling: DOL, subject, pos: int) -> bool:
     """One accessibility probe, subject-set aware.
 
     ``subject`` may be a single id or a sequence of ids (user-level
@@ -269,7 +269,7 @@ def _can_see(labeling: AccessLabeling, subject, pos: int) -> bool:
 
 
 def serialize_visible_subtree(
-    doc, labeling: AccessLabeling, subject, root: int, policy: str = PRUNE
+    doc, labeling: DOL, subject, root: int, policy: str = PRUNE
 ) -> str:
     """Serialize the subtree at ``root``, filtered for one subject (or a
     subject set, whose rights are the union).
@@ -286,7 +286,7 @@ def serialize_visible_subtree(
     return serialize(_visible_node(doc, labeling, subject, root, policy))
 
 
-def _visible_node(doc, labeling: AccessLabeling, subject, pos: int, policy: str) -> Node:
+def _visible_node(doc, labeling: DOL, subject, pos: int, policy: str) -> Node:
     """Rebuild the accessible portion of the subtree at ``pos`` as a tree."""
     node = Node(doc.tag_name(pos), text=doc.text(pos), attrs=doc.attrs_of(pos))
     for child_node in _visible_children(doc, labeling, subject, pos, policy):
@@ -295,7 +295,7 @@ def _visible_node(doc, labeling: AccessLabeling, subject, pos: int, policy: str)
 
 
 def _visible_children(
-    doc, labeling: AccessLabeling, subject, pos: int, policy: str
+    doc, labeling: DOL, subject, pos: int, policy: str
 ) -> List[Node]:
     out: List[Node] = []
     child = doc.first_child(pos)

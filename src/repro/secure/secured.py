@@ -1,13 +1,11 @@
-"""SecuredDocument: a document and its access labeling, updated in lockstep.
+"""SecuredDocument: a document and its DOL, updated in lockstep.
 
 Section 3.4 describes two update families — accessibility updates and
 structural updates (where "the nodes inserted have access controls
 already"). This wrapper coordinates the two representations so neither
 can drift: every structural edit rewrites the document arrays *and*
-updates the labeling through the :class:`~repro.labeling.base.AccessLabeling`
-hooks (the DOL backend splices locally, preserving Proposition 1; CAM and
-naive rebuild — exactly the non-local cost the paper charges them), and
-an optional block store is kept physically consistent as well.
+splices the DOL locally (preserving Proposition 1), and an optional
+block store is kept physically consistent as well.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nok.pattern import PatternTree
 
+from repro.dol.labeling import DOL
 from repro.errors import AccessControlError
-from repro.labeling.base import AccessLabeling
 from repro.secure.semantics import CHO
 from repro.storage.nokstore import NoKStore
 from repro.xmltree import edit
@@ -38,15 +36,12 @@ class EditReport:
 
 
 class SecuredDocument:
-    """A document + access labeling pair with coordinated updates.
-
-    Works with any labeling backend.
-    """
+    """A document + DOL pair with coordinated updates."""
 
     def __init__(
         self,
         doc: Document,
-        labeling: AccessLabeling,
+        labeling: DOL,
         store: Optional[NoKStore] = None,
     ):
         if labeling.n_nodes != len(doc):
@@ -98,7 +93,6 @@ class SecuredDocument:
         result = edit.insert_subtree(self.doc, parent, child_index, subtree)
         delta = self.labeling.insert_range(result.position, list(masks))
         self.doc = result.doc
-        self.labeling.rebind_document(result.doc)
         pages = self._sync_store(result.position)
         return EditReport(result.position, result.size, delta, pages)
 
@@ -108,7 +102,6 @@ class SecuredDocument:
         new_doc = edit.delete_subtree(self.doc, pos)
         delta = self.labeling.delete_range(pos, end)
         self.doc = new_doc
-        self.labeling.rebind_document(new_doc)
         pages = self._sync_store(pos)
         return EditReport(pos, end - pos, delta, pages)
 
@@ -120,7 +113,6 @@ class SecuredDocument:
         start, end = result.source
         delta = self.labeling.move_range(start, end, result.destination)
         self.doc = result.doc
-        self.labeling.rebind_document(result.doc)
         pages = self._sync_store(min(start, result.destination))
         return EditReport(result.destination, end - start, delta, pages)
 

@@ -13,7 +13,8 @@ snapshot overlay resolution, the post-read re-check) runs at every pin.
 
 The owner is a :class:`~repro.storage.nokstore.NoKStore` or a
 :class:`~repro.storage.snapshot.StoreSnapshot`; both mix in
-:class:`PageNavigation`, which is all the navigation code they have.
+:class:`PageNavigation` and :class:`PageAccess`, which are all the
+navigation and access-check code they have.
 Decoded pages are never mutated (a writer invalidates and re-decodes),
 so the columns a cursor holds stay the image of the epoch it pinned them
 in. A cursor is single-threaded scratch state: one per plan execution,
@@ -22,6 +23,7 @@ never stored on anything shared.
 
 from __future__ import annotations
 
+from repro.errors import StorageError
 from repro.xmltree.document import NO_NODE
 
 
@@ -117,8 +119,33 @@ class PageNavigation:
     Mixed into the store and its snapshots so point callers keep the
     next-of-kin interface; anything that walks should hold a
     :meth:`cursor` instead and pay for a page lookup only when it leaves
-    the page.
+    the page. The owner supplies ``_page``, ``n_nodes`` and
+    ``entries_per_page``.
     """
+
+    def _check(self, pos: int) -> None:
+        if not 0 <= pos < self.n_nodes:
+            raise StorageError(f"position {pos} out of range")
+
+    def page_of(self, pos: int) -> int:
+        """Page index holding document position ``pos``."""
+        self._check(pos)
+        return pos // self.entries_per_page
+
+    def entry(self, pos: int):
+        """The stored :class:`~repro.storage.encoding.NodeEntry` of ``pos``."""
+        self._check(pos)
+        page = self._page(pos // self.entries_per_page)
+        return page.entry_at(pos % self.entries_per_page)
+
+    def page_columns(self, page_id: int):
+        """The columnar decode of one page — the batch executor's face.
+
+        A sorted candidate batch groups its positions by page and reads
+        each page group's tag/subtree columns by slice, no per-entry
+        objects.
+        """
+        return self._page(page_id)
 
     def cursor(self) -> PageCursor:
         """A fresh, unpinned cursor over this owner's pages."""
@@ -138,3 +165,55 @@ class PageNavigation:
 
     def subtree_end(self, pos: int) -> int:
         return self.cursor().subtree_end(pos)
+
+
+class PageAccess:
+    """The ACCESS check of Algorithm 1 and the Section 3.3 page-skip tests.
+
+    An access check reads the code embedded on the node's own page — the
+    first node of every page carries its governing code — so it never
+    costs I/O beyond the page the caller is already reading; the skip
+    tests read only the in-memory header table. The owner supplies
+    ``_page``, ``labeling`` (for its codebook), ``headers`` and ``doc``.
+    """
+
+    def access_code_at(self, pos: int) -> int:
+        """Access control code governing ``pos``, read off its page."""
+        self._check(pos)
+        page = self._page(pos // self.entries_per_page)
+        return page.codes[pos % self.entries_per_page]
+
+    def accessible(self, subject: int, pos: int) -> bool:
+        """ACCESS of Algorithm 1 for one subject."""
+        return self.labeling.codebook.accessible(self.access_code_at(pos), subject)
+
+    def accessible_any(self, subjects, pos: int) -> bool:
+        """User-level ACCESS: true if any of the subjects is granted."""
+        mask = self.labeling.codebook.decode(self.access_code_at(pos))
+        return any(mask >> subject & 1 for subject in subjects)
+
+    def page_fully_inaccessible(self, page_id: int, subject: int) -> bool:
+        """Header-only page-skip test — costs no I/O."""
+        return self.headers.page_fully_inaccessible(
+            page_id, subject, self.labeling.codebook
+        )
+
+    def page_fully_inaccessible_any(self, page_id: int, subjects) -> bool:
+        """Page-skip test for a user holding several subjects."""
+        return all(
+            self.page_fully_inaccessible(page_id, subject) for subject in subjects
+        )
+
+    def subtree_fully_inaccessible(self, pos: int, subject: int) -> bool:
+        """True if every page covering the subtree can be header-skipped.
+
+        A sufficient (not necessary) condition used by the secure matcher
+        to avoid reading pages of entirely inaccessible regions.
+        """
+        self._check(pos)
+        first_page = pos // self.entries_per_page
+        last_page = (self.doc.subtree_end(pos) - 1) // self.entries_per_page
+        return all(
+            self.page_fully_inaccessible(page_id, subject)
+            for page_id in range(first_page, last_page + 1)
+        )

@@ -6,12 +6,6 @@ set iff the block contains any other transition node. The paper keeps all
 headers in memory (estimating 3 MB–100 MB per terabyte of XML) so the query
 processor can skip pages that are entirely inaccessible to the querying
 subject without reading them.
-
-Only labeling backends with ``has_page_hints`` (the DOL) populate headers
-with real codes; a hint-free backend (CAM, naive) renders every header as
-``first_code=0, change_bit=False``, and the store never consults the
-skip test for it — :meth:`NoKStore.page_fully_inaccessible` answers False
-before reaching this table.
 """
 
 from __future__ import annotations

@@ -15,14 +15,6 @@ Consequences, each measurable through the I/O counters:
   can be skipped entirely;
 - an accessibility update to a subtree of N nodes rewrites only the
   ~N/B pages that hold it (update locality).
-
-The store accepts any :class:`~repro.labeling.base.AccessLabeling`
-backend. Only a backend with ``has_page_hints`` (the DOL) embeds its
-codes as above — the page layout it defined is unchanged. A hint-free
-backend (CAM, naive) keeps its labels beside the pages: entries carry
-code 0, the header test answers "cannot skip", accessibility probes
-resolve in memory through the backend, and accessibility updates rewrite
-no pages (the labeling travels through the catalog instead).
 """
 
 from __future__ import annotations
@@ -31,12 +23,12 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro.dol.labeling import DOL
 from repro.dol.updates import DOLUpdater
 from repro.errors import PageCorruptionError, PageFormatError, StorageError
-from repro.labeling.base import AccessLabeling
 from repro.storage.buffer import BufferPool
 from repro.storage.codecs import PageColumns, resolve_page_format
-from repro.storage.cursor import PageNavigation
+from repro.storage.cursor import PageAccess, PageNavigation
 from repro.storage.encoding import ENTRY_SIZE, NodeEntry
 from repro.storage.headers import HEADER_SIZE, PageHeader, PageHeaderTable
 from repro.storage.pagecache import DEFAULT_DECODED_CACHE_BYTES, DecodedPageCache
@@ -64,17 +56,14 @@ class UpdateCost:
     transition_delta: int
 
 
-class NoKStore(PageNavigation):
-    """Block-oriented document store with pluggable access labeling.
-
-    With a DOL the access codes are embedded in the pages (the paper's
-    design).
-    """
+class NoKStore(PageNavigation, PageAccess):
+    """Block-oriented document store with the DOL's access codes embedded
+    in its pages (the paper's design)."""
 
     def __init__(
         self,
         doc: Document,
-        labeling: AccessLabeling,
+        labeling: DOL,
         path: Optional[str] = None,
         page_size: int = DEFAULT_PAGE_SIZE,
         buffer_capacity: int = 64,
@@ -84,7 +73,7 @@ class NoKStore(PageNavigation):
     ):
         if labeling.n_nodes != len(doc):
             raise StorageError("labeling and document disagree on node count")
-        if labeling.has_page_hints and len(labeling.codebook) > 0xFFFF:
+        if len(labeling.codebook) > 0xFFFF:
             raise StorageError("codebook too large for u16 embedded codes")
         self.doc = doc
         self.labeling = labeling
@@ -145,7 +134,7 @@ class NoKStore(PageNavigation):
     def attach(
         cls,
         doc: Document,
-        labeling: AccessLabeling,
+        labeling: DOL,
         pager,
         headers: PageHeaderTable,
         buffer_capacity: int = 64,
@@ -207,23 +196,11 @@ class NoKStore(PageNavigation):
         path: str,
         catalog_path: Optional[str] = None,
         buffer_capacity: int = 64,
-        labeling: Optional[str] = None,
     ) -> "NoKStore":
-        """Reopen a saved store (see :func:`repro.storage.persist.open_store`).
-
-        ``labeling`` asserts the expected backend name; a catalog written
-        by a different backend raises :class:`ValueError` naming both.
-        """
+        """Reopen a saved store (see :func:`repro.storage.persist.open_store`)."""
         from repro.storage.persist import open_store
 
-        return open_store(
-            path, catalog_path, buffer_capacity, labeling=labeling
-        )
-
-    @property
-    def has_page_hints(self) -> bool:
-        """Whether the labeling embeds page-skip hints (DOL only)."""
-        return self.labeling.has_page_hints
+        return open_store(path, catalog_path, buffer_capacity)
 
     @property
     def n_nodes(self) -> int:
@@ -237,11 +214,6 @@ class NoKStore(PageNavigation):
         structural update (page files do not shrink in place).
         """
         return self._n_data_pages
-
-    def page_of(self, pos: int) -> int:
-        """Page index holding document position ``pos``."""
-        self._check(pos)
-        return pos // self.entries_per_page
 
     # -- snapshots (concurrent serving; DESIGN.md §10) ---------------------------
 
@@ -348,18 +320,16 @@ class NoKStore(PageNavigation):
 
     def _render_page_bytes(self, first: int) -> "tuple[bytes, PageHeader]":
         doc, labeling = self.doc, self.labeling
-        embed = labeling.has_page_hints
         last = min(first + self.entries_per_page, self.n_nodes)
         change_bit = False
         entries: List[NodeEntry] = []
         for pos in range(first, last):
-            # Hint-free backends render the structural layout unchanged
-            # but with no access information: every entry carries code 0
-            # (the page-initial pseudo-transition included), so the bytes
-            # say nothing the backend doesn't answer in memory.
-            is_transition = embed and labeling.is_transition(pos)
+            # The first entry of every page carries its governing code
+            # (a page-initial pseudo-transition), so an access check never
+            # needs a neighbouring page.
+            is_transition = labeling.is_transition(pos)
             if pos == first:
-                code = labeling.code_at(pos) if embed else 0
+                code = labeling.code_at(pos)
                 entry_transition = True
             else:
                 code = labeling.code_at(pos) if is_transition else 0
@@ -375,7 +345,7 @@ class NoKStore(PageNavigation):
                 )
             )
         header = PageHeader(
-            first_code=labeling.code_at(first) if embed else 0,
+            first_code=labeling.code_at(first),
             change_bit=change_bit,
             n_entries=last - first,
         )
@@ -446,22 +416,7 @@ class NoKStore(PageNavigation):
         """Pages decoded columnar-ly since the store opened (monotonic)."""
         return self._columnar_decodes
 
-    def entry(self, pos: int) -> NodeEntry:
-        """The stored record for position ``pos`` (loads its page)."""
-        self._check(pos)
-        page = self._page(pos // self.entries_per_page)
-        return page.entry_at(pos % self.entries_per_page)
-
-    def page_columns(self, page_id: int) -> PageColumns:
-        """The columnar decode of one page — the batch executor's face.
-
-        A sorted candidate batch groups its positions by page and reads
-        each page group's tag/subtree columns by slice, no per-entry
-        objects.
-        """
-        return self._page(page_id)
-
-    # -- values (navigation itself is PageNavigation) --------------------------------
+    # -- values (navigation and access checks: the storage.cursor mixins) -----------
 
     def text(self, pos: int) -> str:
         """Node text, from the separate NoK value store.
@@ -480,76 +435,6 @@ class NoKStore(PageNavigation):
         self._check(pos)
         return self.doc.attrs[pos]
 
-    # -- access control (Section 3.3) ---------------------------------------------
-
-    def access_code_at(self, pos: int) -> int:
-        """Access control code governing ``pos`` (page-hint backends only).
-
-        Found on the node's own page (the first node of every page is a
-        transition node), so this never costs I/O beyond the page that the
-        caller is already reading.
-        """
-        self._check(pos)
-        page = self._page(pos // self.entries_per_page)
-        return page.codes[pos % self.entries_per_page]
-
-    def accessible(self, subject: int, pos: int) -> bool:
-        """ACCESS of Algorithm 1.
-
-        With a DOL the check reads the embedded code on the node's page
-        (zero extra I/O); a hint-free backend answers from memory.
-        """
-        if not self.has_page_hints:
-            self._check(pos)
-            return self.labeling.accessible(subject, pos)
-        return self.labeling.codebook.accessible(self.access_code_at(pos), subject)
-
-    def accessible_any(self, subjects, pos: int) -> bool:
-        """User-level ACCESS: true if any of the subjects is granted."""
-        if not self.has_page_hints:
-            self._check(pos)
-            return self.labeling.accessible_any(subjects, pos)
-        mask = self.labeling.codebook.decode(self.access_code_at(pos))
-        return any(mask >> subject & 1 for subject in subjects)
-
-    def page_fully_inaccessible(self, page_id: int, subject: int) -> bool:
-        """Header-only page-skip test — costs no I/O.
-
-        Always False for hint-free backends: their headers carry no
-        access information, so no page can be proven skippable.
-        """
-        if not self.has_page_hints:
-            return False
-        return self.headers.page_fully_inaccessible(
-            page_id, subject, self.labeling.codebook
-        )
-
-    def page_fully_inaccessible_any(self, page_id: int, subjects) -> bool:
-        """Page-skip test for a user holding several subjects."""
-        if not self.has_page_hints:
-            return False
-        return all(
-            self.headers.page_fully_inaccessible(
-                page_id, subject, self.labeling.codebook
-            )
-            for subject in subjects
-        )
-
-    def subtree_fully_inaccessible(self, pos: int, subject: int) -> bool:
-        """True if every page covering the subtree can be header-skipped.
-
-        A sufficient (not necessary) condition used by the secure matcher
-        to avoid reading pages of entirely inaccessible regions.
-        """
-        self._check(pos)
-        first_page = pos // self.entries_per_page
-        last = self.doc.subtree_end(pos) - 1
-        last_page = last // self.entries_per_page
-        return all(
-            self.page_fully_inaccessible(page_id, subject)
-            for page_id in range(first_page, last_page + 1)
-        )
-
     # -- updates (Section 3.4) -------------------------------------------------------
 
     def update_subject_range(
@@ -557,67 +442,42 @@ class NoKStore(PageNavigation):
     ) -> UpdateCost:
         """Grant/revoke a subject over [start, end) and rewrite its pages.
 
-        With a DOL the pages holding the range are re-rendered (the
-        embedded codes changed); a hint-free backend updates in memory and
-        commits only a catalog patch — no page bytes change.
-
         Updates run under the store's single-writer lock and publish a
         fresh :class:`StoreSnapshot` at commit; queries in flight keep
         reading the snapshot they started on.
         """
-        with self._writer_lock:
-            if not self.has_page_hints:
-                return self._update_in_memory(
-                    lambda: self.labeling.set_subject_accessibility(
-                        start, end, subject, value
-                    ),
-                    {
-                        "op": "set_subject_range",
-                        "start": start,
-                        "end": end,
-                        "subject": subject,
-                        "value": value,
-                    },
-                )
-            ops: List[dict] = []
-            updater = DOLUpdater(self.labeling, journal=ops.append)
-            delta = updater.set_subject_accessibility(start, end, subject, value)
-            pages = self._rewrite_range(start, end, ops)
-            return UpdateCost(pages_rewritten=pages, transition_delta=delta)
+        return self._update(
+            start, end,
+            lambda updater: updater.set_subject_accessibility(start, end, subject, value),
+        )
 
     def update_range_mask(self, start: int, end: int, mask: int) -> UpdateCost:
         """Replace the ACL of [start, end) and rewrite its pages."""
+        return self._update(
+            start, end, lambda updater: updater.set_range_mask(start, end, mask)
+        )
+
+    def _update(self, start: int, end: int, apply) -> UpdateCost:
+        """Splice the DOL through ``apply(updater)``, then rewrite the pages.
+
+        A splice that overflows the u16 embedded codes is undone before it
+        is reported: the transition lists are swapped back (the updater
+        installs new lists, never edits the old ones) and the codebook
+        entries it registered are dropped, so the labeling, the pages and
+        the next commit all still describe the pre-update state.
+        """
         with self._writer_lock:
-            if not self.has_page_hints:
-                return self._update_in_memory(
-                    lambda: self.labeling.set_range_mask(start, end, mask),
-                    {"op": "set_range_mask", "start": start, "end": end, "mask": mask},
-                )
+            labeling = self.labeling
+            positions, codes = labeling.positions, labeling.codes
+            n_entries = len(labeling.codebook)
             ops: List[dict] = []
-            updater = DOLUpdater(self.labeling, journal=ops.append)
-            delta = updater.set_range_mask(start, end, mask)
+            delta = apply(DOLUpdater(labeling, journal=ops.append))
+            if len(labeling.codebook) > 0xFFFF:
+                labeling.positions, labeling.codes = positions, codes
+                labeling.codebook.truncate(n_entries)
+                raise StorageError("codebook overflow after update")
             pages = self._rewrite_range(start, end, ops)
             return UpdateCost(pages_rewritten=pages, transition_delta=delta)
-
-    def _update_in_memory(self, apply, op: dict) -> UpdateCost:
-        """Accessibility update for a backend with no embedded codes.
-
-        The labeling mutates in memory; durability comes from the WAL
-        commit record alone, whose catalog patch carries the backend's
-        refreshed ``labeling_data``. The caller holds the writer lock;
-        the backend's own map invalidation therefore happens inside the
-        writer critical section, and old-snapshot readers keep probing
-        the labeling clone the last publish gave them.
-        """
-        self._wal_begin()
-        try:
-            delta = apply()
-            self._wal_commit([op])
-        except BaseException:
-            self._wal_abort()
-            raise
-        self._publish_snapshot()
-        return UpdateCost(pages_rewritten=0, transition_delta=delta)
 
     def catalog_state(self) -> Dict[str, object]:
         """The catalog fields a mutation can change.
@@ -628,25 +488,18 @@ class NoKStore(PageNavigation):
         tags and counts) match the replayed pages.
         """
         doc = self.doc
-        labeling = self.labeling
+        codebook = self.labeling.codebook
+        # The DOL round-trips through the page codes; the catalog only
+        # needs the codebook, entry by entry in code order.
         state: Dict[str, object] = {
             "n_nodes": self.n_nodes,
             "n_pages": self._n_data_pages,
             "tags": [doc.tag_dict.name_of(i) for i in range(len(doc.tag_dict))],
             "texts": list(doc.texts),
-            "labeling": labeling.backend_name,
+            "labeling": "dol",
+            "n_subjects": codebook.n_subjects,
+            "codebook": [f"{mask:x}" for _code, mask in codebook.entries()],
         }
-        if labeling.has_page_hints:
-            # DOL: the labeling round-trips through the page codes; the
-            # catalog only needs the codebook (the pre-refactor layout).
-            state["n_subjects"] = labeling.codebook.n_subjects
-            state["codebook"] = [
-                f"{mask:x}" for _code, mask in labeling.codebook.entries()
-            ]
-        else:
-            state["n_subjects"] = getattr(labeling, "n_subjects", 0)
-            state["codebook"] = []
-            state["labeling_data"] = labeling.to_catalog()
         if self.page_format.catalog_tag is not None:
             # v3 stores: the codec negotiation tag plus the density the
             # build (or a structural re-pack) chose. Absent on plain
@@ -678,8 +531,6 @@ class NoKStore(PageNavigation):
         physiological log record, and the commit record (codebook patch +
         logical ops) is forced before the batch counts as durable.
         """
-        if self.has_page_hints and len(self.labeling.codebook) > 0xFFFF:
-            raise StorageError("codebook overflow after update")
         first_page = start // self.entries_per_page
         last_pos = min(end, self.n_nodes - 1)
         last_page = last_pos // self.entries_per_page
@@ -726,7 +577,6 @@ class NoKStore(PageNavigation):
                 raise StorageError(
                     "labeling and edited document disagree on node count"
                 )
-            self.labeling.rebind_document(new_doc)
             self.doc = new_doc
             if self.values is not None:
                 # Value records shifted with the structure: rebuild the heap.
@@ -793,13 +643,11 @@ class NoKStore(PageNavigation):
         """Integrity check: pages must agree with the document and labeling.
 
         Re-reads every page (bypassing caches) and cross-checks each
-        entry's structure fields and running access code (code 0
-        throughout for hint-free backends). Raises :class:`StorageError`
+        entry's structure fields and running access code. Raises :class:`StorageError`
         on the first discrepancy — the tool to run after a crash or a
         suspected corruption.
         """
         doc, labeling = self.doc, self.labeling
-        embed = labeling.has_page_hints
         pos = 0
         for page_id in range(self.n_pages):
             data = self.pager.read_page(page_id)
@@ -818,8 +666,7 @@ class NoKStore(PageNavigation):
                     raise StorageError(f"position {pos}: depth drift")
                 if entry.subtree != doc.subtree[pos]:
                     raise StorageError(f"position {pos}: subtree drift")
-                expected_code = labeling.code_at(pos) if embed else 0
-                if decoded.codes[offset] != expected_code:
+                if decoded.codes[offset] != labeling.code_at(pos):
                     raise StorageError(f"position {pos}: access code drift")
                 pos += 1
         if pos != self.n_nodes:
@@ -860,6 +707,3 @@ class NoKStore(PageNavigation):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _check(self, pos: int) -> None:
-        if not 0 <= pos < self.n_nodes:
-            raise StorageError(f"position {pos} out of range")

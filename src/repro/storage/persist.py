@@ -8,15 +8,13 @@ next to the page file; :func:`open_store` reads both back, reconstructing
 the flattened document (parents from depths, a stack-based linear pass)
 and the DOL (real transitions are entries whose code differs from the
 running code — page-initial pseudo-transitions are filtered out) directly
-from the on-disk pages.
+from the on-disk pages. The codebook is saved entry by entry in code
+order and reloaded positionally, duplicates included, so every code
+decodes to the same subjects after a reopen as before it.
 
-The catalog carries a ``labeling`` backend tag (missing in pre-refactor
-catalogs, which are all DOL — they load exactly as before, byte for
-byte). A hint-free backend (``cam``, ``naive``) cannot round-trip through
-page codes, so its state travels in the catalog's ``labeling_data``
-payload and is rebuilt via the backend's ``from_catalog``. Passing
-``labeling=`` to :func:`open_store` asserts the expected backend; a
-mismatch raises :class:`ValueError` naming both.
+The catalog carries a ``labeling`` tag, always ``"dol"``; a catalog
+without one is read the same way. Any other tag is refused with a
+:class:`StorageError` naming it.
 
 Durability protocol
 -------------------
@@ -43,8 +41,6 @@ from typing import Dict, List, Optional
 from repro.dol.codebook import Codebook
 from repro.dol.labeling import DOL
 from repro.errors import PageCorruptionError, PageFormatError, StorageError
-from repro.labeling.base import AccessLabeling
-from repro.labeling.registry import get_backend
 from repro.storage.codecs import CODEC_IDS, resolve_page_format
 from repro.storage.faults import FaultInjectingPager, FaultPlan
 from repro.storage.headers import PageHeader, PageHeaderTable
@@ -144,12 +140,11 @@ def _validate_catalog(catalog: Dict[str, object], path: str) -> None:
     texts = catalog.get("texts")
     if not isinstance(texts, list) or len(texts) != catalog["n_nodes"]:
         raise StorageError("catalog texts do not match the node count")
-    backend = catalog.get("labeling", "dol")
-    if not isinstance(backend, str) or not backend:
-        raise StorageError(f"catalog labeling tag {backend!r} is not usable")
-    if backend != "dol" and "labeling_data" not in catalog:
+    labeling = catalog.get("labeling", "dol")
+    if labeling != "dol":
         raise StorageError(
-            f"catalog tagged with backend {backend!r} but holds no labeling_data"
+            f"catalog labeling tag {labeling!r} is not supported "
+            "(stores hold a DOL only)"
         )
     codec = catalog.get("codec")
     if codec is not None:
@@ -190,14 +185,8 @@ def open_store(
     catalog_path: str = None,
     buffer_capacity: int = 64,
     fault_plan: Optional[FaultPlan] = None,
-    labeling: Optional[str] = None,
 ) -> NoKStore:
     """Reopen a saved store: recover the WAL, then rebuild from pages.
-
-    ``labeling`` asserts the expected backend: when given and the catalog
-    was written by a different backend, :class:`ValueError` names both.
-    Catalogs with no backend tag predate the pluggable interface and are
-    DOL by construction.
 
     ``fault_plan`` threads a :class:`FaultPlan` into the reopened pager
     and WAL (the crash-recovery harness); production callers leave it
@@ -207,13 +196,6 @@ def open_store(
     recovery = _recover(path, catalog_path)
     catalog = _load_catalog(path, catalog_path)
     _validate_catalog(catalog, path)
-
-    backend = catalog.get("labeling", "dol")
-    if labeling is not None and labeling != backend:
-        raise ValueError(
-            f"store at {path} was built with labeling backend {backend!r}, "
-            f"but {labeling!r} was requested"
-        )
 
     page_size = catalog["page_size"]
     n_nodes = catalog["n_nodes"]
@@ -230,13 +212,13 @@ def open_store(
 
     wal: Optional[WriteAheadLog] = None
     try:
-        # Rebuild the codebook (empty for hint-free backends).
-        codebook = Codebook(catalog["n_subjects"])
-        for mask_hex in catalog["codebook"]:
-            codebook.encode(int(mask_hex, 16))
+        codebook = Codebook.from_entries(
+            catalog["n_subjects"],
+            [int(mask_hex, 16) for mask_hex in catalog["codebook"]],
+        )
 
         # One pass over the pages: rebuild document arrays, headers, and
-        # (for the DOL backend) the transition list from embedded codes.
+        # the transition list from embedded codes.
         tag_dict = TagDictionary()
         for name in catalog["tags"]:
             tag_dict.intern(name)
@@ -283,22 +265,10 @@ def open_store(
 
         doc = Document(tags, parent, subtree, depth, texts, tag_dict)
         doc.validate()
-        if backend == "dol":
-            rebuilt: AccessLabeling = DOL(n_nodes, codebook)
-            rebuilt.positions = positions
-            rebuilt.codes = codes
-            rebuilt.validate()
-        else:
-            # Hint-free backends: page codes are all zero; the labeling
-            # state lives in the catalog payload instead.
-            backend_cls = get_backend(backend)
-            rebuilt = backend_cls.from_catalog(catalog["labeling_data"], doc)
-            if rebuilt.n_nodes != n_nodes:
-                raise StorageError(
-                    f"catalog labeling_data covers {rebuilt.n_nodes} nodes "
-                    f"but the catalog records {n_nodes}"
-                )
-            rebuilt.validate()
+        rebuilt = DOL(n_nodes, codebook)
+        rebuilt.positions = positions
+        rebuilt.codes = codes
+        rebuilt.validate()
 
         pager.stats.reset()
         wal = WriteAheadLog(wal_path_for(path), fault_plan=fault_plan)

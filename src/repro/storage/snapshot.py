@@ -4,8 +4,8 @@ Concurrent serving (DESIGN.md §10) needs many readers to evaluate secure
 queries against one resident store while Section 3.4 updates commit
 underneath them. A :class:`StoreSnapshot` is the mechanism: an immutable
 view of the store at one *epoch*, carrying its own frozen copies of the
-mutable logical state — the document, the access labeling (cloned via
-:meth:`~repro.labeling.base.AccessLabeling.clone`), and the page-header
+mutable logical state — the document, the DOL (cloned via
+:meth:`~repro.dol.labeling.DOL.clone`), and the page-header
 table — plus a copy-on-write **page overlay** for physical bytes.
 
 Lifecycle
@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.errors import PageCorruptionError, StorageError
-from repro.labeling.base import AccessLabeling
-from repro.storage.cursor import PageNavigation
+from repro.dol.labeling import DOL
+from repro.errors import PageCorruptionError
+from repro.storage.cursor import PageAccess, PageNavigation
 from repro.storage.headers import PageHeaderTable
 from repro.xmltree.document import Document
 
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.nokstore import NoKStore
 
 
-class StoreSnapshot(PageNavigation):
+class StoreSnapshot(PageNavigation, PageAccess):
     """An immutable, epoch-stamped read view of one :class:`NoKStore`.
 
     Duck-types the store's reader API so planners, operators and the NoK
@@ -68,7 +68,7 @@ class StoreSnapshot(PageNavigation):
         store: "NoKStore",
         epoch: int,
         doc: Document,
-        labeling: AccessLabeling,
+        labeling: DOL,
         headers: PageHeaderTable,
         n_data_pages: int,
     ):
@@ -90,10 +90,6 @@ class StoreSnapshot(PageNavigation):
         self._next: Optional["StoreSnapshot"] = None
 
     # -- identity ----------------------------------------------------------
-
-    @property
-    def has_page_hints(self) -> bool:
-        return self.labeling.has_page_hints
 
     @property
     def n_pages(self) -> int:
@@ -158,22 +154,7 @@ class StoreSnapshot(PageNavigation):
         self._overlay_decoded[page_id] = decoded
         return decoded
 
-    def page_of(self, pos: int) -> int:
-        """Page index holding document position ``pos``."""
-        self._check(pos)
-        return pos // self.entries_per_page
-
-    def entry(self, pos: int):
-        """The stored record for position ``pos`` at this epoch."""
-        self._check(pos)
-        page = self._page(pos // self.entries_per_page)
-        return page.entry_at(pos % self.entries_per_page)
-
-    def page_columns(self, page_id: int) -> "PageColumns":
-        """The columnar decode of one page at this epoch."""
-        return self._page(page_id)
-
-    # -- values (navigation itself is PageNavigation) ----------------------
+    # -- values (navigation and access checks: the storage.cursor mixins) --
 
     def text(self, pos: int) -> str:
         """Node text, from the snapshot's frozen document arrays.
@@ -189,62 +170,11 @@ class StoreSnapshot(PageNavigation):
         self._check(pos)
         return self.doc.attrs[pos]
 
-    # -- access control (Section 3.3, frozen at this epoch) ----------------
-
-    def access_code_at(self, pos: int) -> int:
-        self._check(pos)
-        page = self._page(pos // self.entries_per_page)
-        return page.codes[pos % self.entries_per_page]
-
-    def accessible(self, subject: int, pos: int) -> bool:
-        if not self.has_page_hints:
-            self._check(pos)
-            return self.labeling.accessible(subject, pos)
-        return self.labeling.codebook.accessible(self.access_code_at(pos), subject)
-
-    def accessible_any(self, subjects, pos: int) -> bool:
-        if not self.has_page_hints:
-            self._check(pos)
-            return self.labeling.accessible_any(subjects, pos)
-        mask = self.labeling.codebook.decode(self.access_code_at(pos))
-        return any(mask >> subject & 1 for subject in subjects)
-
-    def page_fully_inaccessible(self, page_id: int, subject: int) -> bool:
-        if not self.has_page_hints:
-            return False
-        return self.headers.page_fully_inaccessible(
-            page_id, subject, self.labeling.codebook
-        )
-
-    def page_fully_inaccessible_any(self, page_id: int, subjects) -> bool:
-        if not self.has_page_hints:
-            return False
-        return all(
-            self.headers.page_fully_inaccessible(
-                page_id, subject, self.labeling.codebook
-            )
-            for subject in subjects
-        )
-
-    def subtree_fully_inaccessible(self, pos: int, subject: int) -> bool:
-        self._check(pos)
-        first_page = pos // self.entries_per_page
-        last = self.doc.subtree_end(pos) - 1
-        last_page = last // self.entries_per_page
-        return all(
-            self.page_fully_inaccessible(page_id, subject)
-            for page_id in range(first_page, last_page + 1)
-        )
-
     # -- internals ---------------------------------------------------------
 
     def frozen_page_count(self) -> int:
         """Pages this snapshot holds as copy-on-write pre-images."""
         return len(self._overlay)
-
-    def _check(self, pos: int) -> None:
-        if not 0 <= pos < self.n_nodes:
-            raise StorageError(f"position {pos} out of range")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "current" if self.is_current else "superseded"

@@ -3,7 +3,7 @@
 The contract (DESIGN.md §12): two subject sets resolve to the same
 access class iff their union accessibility is node-for-node identical —
 in which case every downstream artifact (run list, plan, answer) is
-shared, under both secure semantics and every labeling backend. An
+shared, under both secure semantics. An
 accessibility update bumps ``runs_epoch``, which re-partitions the
 directory; duplicate or unsorted subject inputs normalize to one
 canonical form and therefore one cache entry.
@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.acl.model import AccessMatrix
+from repro.dol.labeling import DOL
 from repro.errors import AccessControlError
 from repro.labeling import ClassDirectory, normalize_subjects
-from repro.labeling.registry import available_backends, build_labeling
 from repro.nok.engine import QueryEngine
 from repro.secure.semantics import CHO, VIEW
 from tests.conftest import random_document
@@ -82,46 +82,36 @@ def test_equal_class_iff_equal_accessibility(case):
     """Signature equality is exactly union-accessibility equality."""
     doc, matrix = case
     n = len(doc)
-    for backend in available_backends():
-        labeling = build_labeling(backend, doc, matrix)
-        sets = _all_subject_sets()
-        vectors = {
-            subjects: tuple(
-                labeling.accessible_any(subjects, pos) for pos in range(n)
-            )
-            for subjects in sets
-        }
-        signatures = {
-            subjects: labeling.access_class(subjects) for subjects in sets
-        }
-        for a in sets:
-            for b in sets:
-                assert (signatures[a] == signatures[b]) == (
-                    vectors[a] == vectors[b]
-                ), (backend, a, b)
+    labeling = DOL.from_matrix(matrix)
+    sets = _all_subject_sets()
+    vectors = {
+        subjects: tuple(labeling.accessible_any(subjects, pos) for pos in range(n))
+        for subjects in sets
+    }
+    signatures = {subjects: labeling.access_class(subjects) for subjects in sets}
+    for a in sets:
+        for b in sets:
+            assert (signatures[a] == signatures[b]) == (
+                vectors[a] == vectors[b]
+            ), (a, b)
 
 
 @settings(max_examples=15, deadline=None)
 @given(labeled_document())
-def test_same_class_same_answers_all_backends_and_semantics(case):
+def test_same_class_same_answers_both_semantics(case):
     """Class-equal subject sets get identical secure answers everywhere."""
     doc, matrix = case
     query = "//n0"
-    for backend in available_backends():
-        engine = QueryEngine.build(doc, matrix, labeling=backend)
-        by_class = {}
-        for subjects in _all_subject_sets():
-            class_id = engine.access_class_of(subjects)
-            for semantics in (CHO, VIEW):
-                answer = tuple(
-                    engine.evaluate(
-                        query, subject=subjects, semantics=semantics
-                    ).positions
-                )
-                key = (class_id, semantics)
-                assert by_class.setdefault(key, answer) == answer, (
-                    backend, subjects, semantics,
-                )
+    engine = QueryEngine.build(doc, matrix)
+    by_class = {}
+    for subjects in _all_subject_sets():
+        class_id = engine.access_class_of(subjects)
+        for semantics in (CHO, VIEW):
+            answer = tuple(
+                engine.evaluate(query, subject=subjects, semantics=semantics).positions
+            )
+            key = (class_id, semantics)
+            assert by_class.setdefault(key, answer) == answer, (subjects, semantics)
 
 
 class TestDirectory:
@@ -131,7 +121,7 @@ class TestDirectory:
         matrix.grant_range(0, 0, len(doc))
         matrix.grant_range(1, 0, len(doc))
         matrix.grant_range(2, 0, len(doc) // 2)
-        return doc, matrix, build_labeling("dol", doc, matrix)
+        return doc, matrix, DOL.from_matrix(matrix)
 
     def test_duplicate_and_unsorted_inputs_share_memo_entry(self):
         _doc, _matrix, labeling = self._labeling()

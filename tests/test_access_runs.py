@@ -1,12 +1,13 @@
 """Property-based tests (hypothesis) for the bulk ``access_runs`` API.
 
-The contract every backend must honor (DESIGN.md §11): for any subject
-set and any window ``[lo, hi)``, ``access_runs`` yields maximal runs that
-tile the window exactly — no gaps, no overlaps, no two adjacent runs with
-the same flag — and each run's flag equals the per-node ``accessible``
-answer for every position it covers. The DOL decodes runs natively from
-transition codes and the CAM from entry walks, so these properties are
-the proof that the fast paths agree with the probe interface bit for bit.
+The contract (DESIGN.md §11): for any subject set and any window
+``[lo, hi)``, ``access_runs`` yields maximal runs that tile the window
+exactly — no gaps, no overlaps, no two adjacent runs with the same flag —
+and each run's flag equals the per-node ``accessible`` answer for every
+position it covers. The DOL decodes runs natively from transition codes,
+so these properties are the proof that the fast path agrees bit for bit
+with the probe interface and with :func:`runs_from_predicate` over the
+matrix's own per-node masks.
 """
 
 import random
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.acl.model import AccessMatrix
-from repro.labeling.registry import available_backends, build_labeling
-from repro.labeling.runs import RunList, union_runs
+from repro.dol.labeling import DOL
+from repro.labeling.runs import RunList, runs_from_predicate
 from tests.conftest import random_document
 
 N_SUBJECTS = 3
@@ -72,15 +73,12 @@ def _check_tiling(runs, lo, hi):
 @given(labeled_document_and_window(), st.integers(min_value=0, max_value=N_SUBJECTS - 1))
 def test_access_runs_reconstructs_accessible(case, subject):
     doc, matrix, lo, hi = case
-    for backend in available_backends():
-        labeling = build_labeling(backend, doc, matrix)
-        runs = list(labeling.access_runs(subject, lo, hi))
-        _check_tiling(runs, lo, hi)
-        for start, end, flag in runs:
-            for pos in range(start, end):
-                assert flag == labeling.accessible(subject, pos), (
-                    backend, subject, pos,
-                )
+    labeling = DOL.from_matrix(matrix)
+    runs = list(labeling.access_runs(subject, lo, hi))
+    _check_tiling(runs, lo, hi)
+    for start, end, flag in runs:
+        for pos in range(start, end):
+            assert flag == labeling.accessible(subject, pos), (subject, pos)
 
 
 @settings(max_examples=40)
@@ -88,36 +86,29 @@ def test_access_runs_reconstructs_accessible(case, subject):
 def test_access_runs_any_reconstructs_union(case):
     doc, matrix, lo, hi = case
     subjects = (0, 2)
-    for backend in available_backends():
-        labeling = build_labeling(backend, doc, matrix)
-        runs = list(labeling.access_runs_any(subjects, lo, hi))
-        _check_tiling(runs, lo, hi)
-        for start, end, flag in runs:
-            for pos in range(start, end):
-                assert flag == labeling.accessible_any(subjects, pos), (
-                    backend, pos,
-                )
+    labeling = DOL.from_matrix(matrix)
+    runs = list(labeling.access_runs_any(subjects, lo, hi))
+    _check_tiling(runs, lo, hi)
+    for start, end, flag in runs:
+        for pos in range(start, end):
+            assert flag == labeling.accessible_any(subjects, pos), pos
 
 
 @settings(max_examples=40)
-@given(labeled_document())
-def test_backends_produce_identical_runs(case):
-    """All backends decode the same maximal run sequence."""
-    doc, matrix = case
-    per_backend = {
-        backend: list(
-            build_labeling(backend, doc, matrix).access_runs(1, 0, len(doc))
-        )
-        for backend in available_backends()
-    }
-    assert len(set(map(tuple, per_backend.values()))) == 1, per_backend
+@given(labeled_document_and_window(), st.integers(min_value=0, max_value=N_SUBJECTS - 1))
+def test_runs_equal_runs_from_predicate(case, subject):
+    """The transition decode equals the per-node reference over the matrix."""
+    doc, matrix, lo, hi = case
+    masks = matrix.masks()
+    expected = runs_from_predicate(lambda pos: masks[pos] >> subject & 1, lo, hi)
+    assert list(DOL.from_matrix(matrix).access_runs(subject, lo, hi)) == list(expected)
 
 
 @settings(max_examples=40)
 @given(labeled_document_and_window(), st.integers(min_value=0, max_value=N_SUBJECTS - 1))
 def test_filter_positions_equals_per_node_filter(case, subject):
     doc, matrix, lo, hi = case
-    labeling = build_labeling("dol", doc, matrix)
+    labeling = DOL.from_matrix(matrix)
     run_list = RunList.from_runs(labeling.access_runs(subject, lo, hi), lo, hi)
     positions = list(range(lo, hi))
     expected = [p for p in positions if labeling.accessible(subject, p)]
@@ -128,18 +119,12 @@ def test_filter_positions_equals_per_node_filter(case, subject):
 
 
 @settings(max_examples=40)
-@given(labeled_document())
-def test_union_runs_matches_any_predicate(case):
-    doc, matrix = case
-    labeling = build_labeling("dol", doc, matrix)
-    n = len(doc)
-    subjects = (0, 1, 2)
-    unioned = list(
-        union_runs(
-            [labeling.access_runs(s, 0, n) for s in subjects], 0, n
-        )
-    )
-    _check_tiling(unioned, 0, n)
-    for start, end, flag in unioned:
-        for pos in range(start, end):
-            assert flag == labeling.accessible_any(subjects, pos)
+@given(labeled_document_and_window(), st.sampled_from([(0, 1), (0, 2), (0, 1, 2)]))
+def test_union_runs_matches_any_predicate(case, subjects):
+    """The union decode equals the per-node any-of reference over the matrix."""
+    doc, matrix, lo, hi = case
+    masks = matrix.masks()
+    bits = sum(1 << subject for subject in subjects)
+    expected = runs_from_predicate(lambda pos: masks[pos] & bits, lo, hi)
+    got = DOL.from_matrix(matrix).access_runs_any(subjects, lo, hi)
+    assert list(got) == list(expected)

@@ -55,37 +55,27 @@ class TestLabel:
         assert "naive labels (one per node)" in out
         assert "naive total bytes" in out
 
-    def test_single_backend_selection(self, xmark_file, capsys):
-        assert main(
-            ["label", xmark_file, "--subjects", "2", "--labeling", "naive"]
-        ) == 0
+    def test_classes_report(self, xmark_file, capsys):
+        assert main(["label", xmark_file, "--subjects", "3", "--classes"]) == 0
         out = capsys.readouterr().out
-        assert "naive labels" in out
-        assert "DOL transition nodes" not in out
-        assert "CAM labels" not in out
+        assert "single-subject classes" in out
+        assert "subject-pair classes" in out
 
 
 class TestBuild:
-    @pytest.mark.parametrize("backend", ("dol", "cam", "naive"))
-    def test_builds_and_saves_each_backend(
-        self, xmark_file, tmp_path, capsys, backend
-    ):
-        store = str(tmp_path / f"{backend}.db")
-        assert main(
-            ["build", xmark_file, store, "--labeling", backend]
-        ) == 0
-        out = capsys.readouterr().out
-        assert f"built {backend} store" in out
-        import json
+    def test_builds_and_saves_store(self, xmark_file, tmp_path, capsys):
         import os
 
+        store = str(tmp_path / "dol.db")
+        assert main(["build", xmark_file, store]) == 0
+        assert "built store" in capsys.readouterr().out
         assert os.path.exists(store)
         with open(store + ".catalog.json", "r", encoding="utf-8") as handle:
-            assert json.load(handle)["labeling"] == backend
+            assert json.load(handle)["labeling"] == "dol"
 
     def test_built_store_passes_fsck(self, xmark_file, tmp_path, capsys):
-        store = str(tmp_path / "cam.db")
-        assert main(["build", xmark_file, store, "--labeling", "cam"]) == 0
+        store = str(tmp_path / "store.db")
+        assert main(["build", xmark_file, store]) == 0
         assert main(["verify-store", store]) == 0
         assert "clean" in capsys.readouterr().out
 
@@ -208,26 +198,6 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("backend", ("cam", "naive"))
-    def test_secure_query_with_alternate_backend(
-        self, xmark_file, capsys, backend
-    ):
-        assert main(
-            ["query", xmark_file, "//item", "--subject", "0",
-             "--labeling", backend]
-        ) == 0
-        assert "answers:" in capsys.readouterr().out
-
-    def test_backends_answer_identically(self, xmark_file, capsys):
-        counts = {}
-        for backend in ("dol", "cam", "naive"):
-            assert main(
-                ["query", xmark_file, "//item", "--subject", "1",
-                 "--labeling", backend]
-            ) == 0
-            counts[backend] = capsys.readouterr().out.splitlines()[0]
-        assert counts["cam"] == counts["dol"] == counts["naive"]
 
 
 class TestVerifyStore:

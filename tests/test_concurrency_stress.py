@@ -1,18 +1,17 @@
-"""Seeded concurrency stress: readers vs. an update stream, per backend.
+"""Seeded concurrency stress: readers vs. an update stream.
 
 The serving guarantee under test: with 8 reader threads evaluating
 secure queries (both Cho and view semantics) while a writer commits a
 seeded stream of Section 3.4 accessibility updates, every reader's
 answer is *exactly* what a single-threaded evaluation at that reader's
-snapshot epoch produces — no torn update is ever observed, for any
-labeling backend (dol / cam / naive).
+snapshot epoch produces — no torn update is ever observed.
 
 The oracle is independent of the store: for each epoch a reader touched,
 a fresh in-memory engine over that epoch's snapshot document + labeling
 clone recomputes the answers without any pages, buffer pool or
 snapshot machinery in the loop. Proposition 1 (each accessibility update
 changes the transition count by at most 2) is asserted after every
-commit on the DOL backend.
+commit.
 
 A short "race smoke" hammer at the end runs the same machinery with no
 assertions beyond not crashing; CI runs this module under
@@ -28,7 +27,7 @@ import time
 import pytest
 
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
-from repro.labeling.registry import build_labeling
+from repro.dol.labeling import DOL
 from repro.nok.engine import QueryEngine
 from repro.storage.nokstore import NoKStore
 from repro.xmark.generator import XMarkConfig, generate_document
@@ -57,14 +56,14 @@ def stress_matrix(stress_doc):
     return generate_synthetic_acl(stress_doc, config, n_subjects=4)
 
 
-def run_stress(doc, matrix, backend, semantics, seed):
+def run_stress(doc, matrix, semantics, seed):
     """Drive readers + writer; returns (observations, snapshots, deltas).
 
     observations: list of (epoch, qid, sorted positions) per reader call;
     snapshots: {epoch: StoreSnapshot} retained for oracle replay;
     deltas: transition deltas per commit (Proposition 1 evidence).
     """
-    labeling = build_labeling(backend, doc, matrix)
+    labeling = DOL.from_matrix(matrix)
     store = NoKStore(doc, labeling, page_size=512, buffer_capacity=8)
     engine = QueryEngine(doc, labeling=labeling, store=store)
     rng = random.Random(seed)
@@ -103,8 +102,7 @@ def run_stress(doc, matrix, backend, semantics, seed):
                 # retain the snapshot this commit published, keyed by
                 # its epoch, for post-run oracle replay
                 snapshots[store.epoch] = store.snapshot()
-                # pace the stream so it overlaps the reader phase even
-                # for hint-free backends whose commits are near-instant
+                # pace the stream so it overlaps the reader phase
                 time.sleep(0.005)
 
         def reader():
@@ -158,24 +156,22 @@ def oracle_answers(snapshots, epoch, query, semantics):
     return tuple(sorted(result.positions))
 
 
-@pytest.mark.parametrize("backend", ["dol", "cam", "naive"])
 @pytest.mark.parametrize("semantics", ["cho", "view"])
 def test_readers_match_oracle_under_update_stream(
-    stress_doc, stress_matrix, backend, semantics
+    stress_doc, stress_matrix, semantics
 ):
     observations, snapshots, deltas = run_stress(
-        stress_doc, stress_matrix, backend, semantics, seed=77
+        stress_doc, stress_matrix, semantics, seed=77
     )
     assert len(deltas) == N_UPDATES
     # readers take at least READS_PER_READER passes, plus as many more as
     # it takes to outlive the writer's update stream
     assert len(observations) >= N_READERS * READS_PER_READER * len(QUERIES)
 
-    if backend == "dol":
-        # Proposition 1, checked after every commit: one accessibility
-        # update adds at most two transitions (and removes boundedly too
-        # — each operation splices one contiguous segment).
-        assert all(delta <= 2 for delta in deltas), deltas
+    # Proposition 1, checked after every commit: one accessibility
+    # update adds at most two transitions (and removes boundedly too —
+    # each operation splices one contiguous segment).
+    assert all(delta <= 2 for delta in deltas), deltas
 
     # Every reader observation must equal the single-threaded oracle at
     # the epoch its snapshot pinned — regardless of what the writer was
@@ -190,7 +186,7 @@ def test_readers_match_oracle_under_update_stream(
                 snapshots, epoch, QUERIES[qid], semantics
             )
         assert positions == oracle_cache[key], (
-            f"backend={backend} semantics={semantics} epoch={epoch} "
+            f"semantics={semantics} epoch={epoch} "
             f"query={qid}: concurrent answer diverged from oracle"
         )
 
@@ -199,11 +195,11 @@ def test_readers_match_oracle_under_update_stream(
 
 
 def test_labeling_valid_after_stress(stress_doc, stress_matrix):
-    _, snapshots, _ = run_stress(stress_doc, stress_matrix, "dol", "cho", seed=99)
+    _, snapshots, _ = run_stress(stress_doc, stress_matrix, "cho", seed=99)
     final = snapshots[max(snapshots)]
     final.labeling.validate()
 
 
 def test_race_smoke(stress_doc, stress_matrix):
     """No-assertion hammer for the PYTHONDEVMODE=1 CI job."""
-    run_stress(stress_doc, stress_matrix, "dol", "cho", seed=5)
+    run_stress(stress_doc, stress_matrix, "cho", seed=5)

@@ -67,6 +67,19 @@ class TestConstruction:
         with pytest.raises(AccessControlError):
             DOL.from_masks([], 1)
 
+    def test_build_labeling_checks_matrix_coverage(self, paper_doc):
+        from repro.labeling import build_labeling
+
+        assert build_labeling("dol", paper_doc, AccessMatrix(len(paper_doc), 2))
+        with pytest.raises(AccessControlError):
+            build_labeling("dol", paper_doc, AccessMatrix(len(paper_doc) - 1, 2))
+
+    def test_build_labeling_knows_only_dol(self, paper_doc):
+        from repro.labeling import build_labeling
+
+        with pytest.raises(AccessControlError, match="only 'dol'"):
+            build_labeling("cam", paper_doc, AccessMatrix(len(paper_doc), 2))
+
 
 class TestLookup:
     @pytest.fixture

@@ -210,3 +210,41 @@ class TestJournal:
 
         dol = DOL.from_masks([0b1] * 4, 1)
         DOLUpdater(dol).set_range_mask(1, 3, 0b1)  # must not raise
+
+
+class TestDOLHooks:
+    """The DOL's own update methods delegate to DOLUpdater."""
+
+    MASKS = [0b011, 0b011, 0b001, 0b101, 0b101, 0b000, 0b111, 0b111]
+
+    def test_set_subject_accessibility(self):
+        dol = DOL.from_masks(self.MASKS, 3)
+        epoch = dol.runs_epoch
+        delta = dol.set_subject_accessibility(2, 5, 1, True)
+        assert dol.to_masks()[2:5] == [0b011, 0b111, 0b111]
+        assert delta <= 2  # Proposition 1
+        assert dol.runs_epoch > epoch
+        dol.validate()
+
+    def test_insert_delete_move_roundtrip(self):
+        dol = DOL.from_masks(self.MASKS, 3)
+        dol.insert_range(4, [0b101, 0b001])
+        assert dol.n_nodes == len(self.MASKS) + 2
+        assert dol.mask_at(4) == 0b101
+        dol.delete_range(4, 6)
+        assert dol.to_masks() == self.MASKS
+
+    def test_move_range(self):
+        dol = DOL.from_masks(self.MASKS, 3)
+        dol.move_range(1, 3, 0)
+        masks = self.MASKS
+        assert dol.to_masks() == masks[1:3] + [masks[0]] + masks[3:]
+
+    def test_invalid_updates_rejected(self):
+        dol = DOL.from_masks(self.MASKS, 3)
+        with pytest.raises(UpdateError):
+            dol.transform_range(5, 2, lambda m: m)
+        with pytest.raises(UpdateError):
+            dol.insert_range(len(self.MASKS) + 1, [1])
+        with pytest.raises(UpdateError):
+            dol.delete_range(0, len(self.MASKS))

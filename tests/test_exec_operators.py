@@ -1,9 +1,9 @@
 """Differential suite: the operator pipeline against the brute-force oracle.
 
 The engine's answers must equal :func:`repro.nok.reference.evaluate_reference`
-across every combination of secure semantics (cho / view), labeling
-backend (dol / cam / naive), ordered and unordered matching, in-memory
-and store-backed execution, single- and multi-subject evaluation — and
+across every combination of secure semantics (cho / view), ordered and
+unordered matching, in-memory and store-backed execution, single- and
+multi-subject evaluation — and
 across accessibility updates (a commit must invalidate the decoded run
 lists, not serve stale ones).
 """
@@ -11,14 +11,12 @@ lists, not serve stale ones).
 import pytest
 
 from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
-from repro.labeling.registry import build_labeling
+from repro.dol.labeling import DOL
 from repro.nok.engine import QueryEngine
 from repro.nok.pattern import parse_query
 from repro.nok.reference import evaluate_reference
 from repro.secure.semantics import CHO, VIEW
 from repro.xmark.generator import XMarkConfig, generate_document
-
-BACKENDS = ("dol", "cam", "naive")
 
 QUERY_SET = (
     "//item",
@@ -47,7 +45,7 @@ def matrix(doc):
 
 @pytest.fixture(scope="module")
 def oracle(doc, matrix):
-    """Memoized oracle answers (they do not depend on the backend).
+    """Memoized oracle answers.
 
     The oracle takes one subject; a subject *set* is folded into a
     single mask column (bit 0 = any of the set's bits) first.
@@ -72,9 +70,8 @@ def oracle(doc, matrix):
 
 @pytest.mark.parametrize("ordered", (False, True))
 @pytest.mark.parametrize("semantics", (CHO, VIEW))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matches_oracle_in_memory(doc, matrix, oracle, backend, semantics, ordered):
-    engine = QueryEngine.build(doc, matrix, labeling=backend)
+def test_matches_oracle_in_memory(doc, matrix, oracle, semantics, ordered):
+    engine = QueryEngine.build(doc, matrix)
     for query in QUERY_SET:
         for subject in range(matrix.n_subjects):
             got = engine.evaluate(
@@ -84,20 +81,16 @@ def test_matches_oracle_in_memory(doc, matrix, oracle, backend, semantics, order
 
 
 @pytest.mark.parametrize("semantics", (CHO, VIEW))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matches_oracle_store_backed(doc, matrix, oracle, backend, semantics):
-    engine = QueryEngine.build(
-        doc, matrix, use_store=True, page_size=256, labeling=backend
-    )
+def test_matches_oracle_store_backed(doc, matrix, oracle, semantics):
+    engine = QueryEngine.build(doc, matrix, use_store=True, page_size=256)
     for query in QUERY_SET:
         got = engine.evaluate(query, subject=1, semantics=semantics)
         assert got.positions == oracle(query, 1, semantics)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matches_oracle_user_level(doc, matrix, oracle, backend):
+def test_matches_oracle_user_level(doc, matrix, oracle):
     """Multi-subject evaluation: run lists union the subjects' rights."""
-    engine = QueryEngine.build(doc, matrix, labeling=backend)
+    engine = QueryEngine.build(doc, matrix)
     for query in QUERY_SET:
         got = engine.evaluate(query, subject=(0, 2), semantics=CHO)
         assert got.positions == oracle(query, (0, 2))
@@ -127,9 +120,8 @@ def test_run_cache_serves_repeats_and_invalidates_on_store_commit(doc, matrix):
     assert after.positions == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_cache_invalidates_on_in_memory_update(doc, matrix, backend):
-    labeling = build_labeling(backend, doc, matrix)
+def test_run_cache_invalidates_on_in_memory_update(doc, matrix):
+    labeling = DOL.from_matrix(matrix)
     engine = QueryEngine(doc, labeling=labeling)
     before = engine.evaluate("//item", subject=1)
     epoch = labeling.runs_epoch
@@ -164,3 +156,55 @@ def test_explain_analyze_reports_batches(doc, matrix):
     assert result.n_answers > 0
     assert "batches=" in text
     assert "rows/batch=" in text
+
+
+#: Seeded (n_items, doc seed) x (n_subjects, accessibility, propagation,
+#: acl seed) grid: small documents under 1-4 subjects and sparse to
+#: dense policies.
+GRID_DOCS = ((4, 7), (8, 21), (12, 99))
+GRID_ACLS = ((1, 0.5, 0.3, 1), (2, 0.7, 0.2, 13), (3, 0.3, 0.5, 42), (4, 0.9, 0.1, 77))
+
+
+def _grid_engine(doc_config, acl_config):
+    n_items, doc_seed = doc_config
+    n_subjects, accessibility, propagation, acl_seed = acl_config
+    grid_doc = generate_document(XMarkConfig(n_items=n_items, seed=doc_seed))
+    grid_matrix = generate_synthetic_acl(
+        grid_doc,
+        SyntheticACLConfig(
+            propagation_ratio=propagation,
+            accessibility_ratio=accessibility,
+            seed=acl_seed,
+        ),
+        n_subjects=n_subjects,
+    )
+    labeling = DOL.from_matrix(grid_matrix)
+    return grid_doc, labeling, QueryEngine(grid_doc, labeling=labeling)
+
+
+def _assert_grid_matches_oracle(grid_doc, labeling, engine):
+    masks = labeling.to_masks()
+    for query in QUERY_SET + ("//person/name",):
+        for semantics in (CHO, VIEW):
+            for subject in range(labeling.codebook.n_subjects):
+                got = engine.evaluate(query, subject=subject, semantics=semantics)
+                assert got.positions == sorted(evaluate_reference(
+                    grid_doc, parse_query(query), masks, subject, semantics
+                )), (query, semantics, subject)
+
+
+@pytest.mark.parametrize("acl_config", GRID_ACLS)
+@pytest.mark.parametrize("doc_config", GRID_DOCS)
+def test_matches_oracle_on_policy_grid(doc_config, acl_config):
+    """Every query, subject and semantics over one grid cell."""
+    _assert_grid_matches_oracle(*_grid_engine(doc_config, acl_config))
+
+
+@pytest.mark.parametrize("acl_config", GRID_ACLS)
+@pytest.mark.parametrize("doc_config", GRID_DOCS)
+def test_matches_oracle_after_accessibility_update(doc_config, acl_config):
+    """The same check after an in-memory grant and revoke."""
+    grid_doc, labeling, engine = _grid_engine(doc_config, acl_config)
+    labeling.set_subject_accessibility(2, len(grid_doc) // 2 + 2, 0, True)
+    labeling.set_node_accessibility(1, 0, False)
+    _assert_grid_matches_oracle(grid_doc, labeling, engine)

@@ -68,7 +68,6 @@ class TestPathAccessIndex:
 
 # -- the index as a per-(epoch, class) cached artifact -------------------------
 
-BACKENDS = ("dol", "cam", "naive")
 JOIN_QUERY = "//listitem//keyword"
 VIEW_QUERIES = (JOIN_QUERY, "//item[name]/quantity", "//item")
 
@@ -89,10 +88,9 @@ def masks(doc):
     return [m | (m >> 1 & 1) << 3 for m in matrix.masks()]
 
 
-def build_engine(doc, masks, backend, use_store):
+def build_engine(doc, masks, use_store):
     return QueryEngine.build(
-        doc, AccessMatrix.from_masks(masks, 4), labeling=backend,
-        use_store=use_store, page_size=256,
+        doc, AccessMatrix.from_masks(masks, 4), use_store=use_store, page_size=256,
     )
 
 
@@ -112,7 +110,7 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
 def test_one_index_per_epoch_and_class(doc, masks, builds, use_store):
-    engine = build_engine(doc, masks, "dol", use_store)
+    engine = build_engine(doc, masks, use_store)
     for query in VIEW_QUERIES:
         engine.evaluate(query, subject=1, semantics=VIEW)
     assert len(builds) == 1
@@ -128,11 +126,10 @@ def test_one_index_per_epoch_and_class(doc, masks, builds, use_store):
 
 
 @pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_first_view_query_after_a_revoke_leaks_nothing(
-    doc, masks, builds, backend, use_store
+    doc, masks, builds, use_store
 ):
-    engine = build_engine(doc, masks, backend, use_store)
+    engine = build_engine(doc, masks, use_store)
     before = engine.evaluate(JOIN_QUERY, subject=1, semantics=VIEW)
     assert len(builds) == 1
     # revoke an ancestor of an answer: only the path test can prune it
@@ -156,7 +153,7 @@ def test_first_view_query_after_a_revoke_leaks_nothing(
 
 @pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
 def test_brownout_tier_builds_a_private_index(doc, masks, builds, use_store):
-    engine = build_engine(doc, masks, "dol", use_store)
+    engine = build_engine(doc, masks, use_store)
     shared = engine.evaluate(JOIN_QUERY, subject=1, semantics=VIEW)
     cached = engine.run_cache.stats()["size"]
     for _ in range(2):

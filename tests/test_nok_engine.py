@@ -84,6 +84,15 @@ class TestSecure:
         with pytest.raises(ReproError):
             QueryEngine.build(doc).evaluate("/site", subject=0)
 
+    def test_store_and_engine_share_labeling(self, doc):
+        from repro.dol.labeling import DOL
+        from repro.storage.nokstore import NoKStore
+
+        masks = [1] * len(doc)
+        store = NoKStore(doc, DOL.from_masks(masks, 1), page_size=128)
+        with pytest.raises(ReproError, match="share one labeling"):
+            QueryEngine(doc, labeling=DOL.from_masks(masks, 1), store=store)
+
     def test_unknown_semantics_rejected(self, engine):
         with pytest.raises(ReproError):
             engine.evaluate("/site", subject=0, semantics="bogus")
@@ -190,7 +199,4 @@ class TestStoreStatistics:
         engine = QueryEngine.build(xmark_doc, matrix, use_store=True, page_size=512)
         result = engine.evaluate("//item", subject=0)
         assert result.stats.static_deny == 0
-        assert (
-            result.stats.candidates_skipped_by_header
-            + result.stats.candidates_skipped_by_runs
-        ) > 0
+        assert result.stats.candidates_skipped_by_header > 0

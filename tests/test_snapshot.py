@@ -12,7 +12,6 @@ import pytest
 from repro.acl.model import AccessMatrix
 from repro.dol.labeling import DOL
 from repro.errors import StorageError
-from repro.labeling.registry import build_labeling
 from repro.nok.engine import QueryEngine
 from repro.storage.nokstore import NoKStore
 from repro.storage.snapshot import StoreSnapshot
@@ -122,20 +121,6 @@ class TestIsolation:
             snap.entry(store.n_nodes)
         with pytest.raises(StorageError):
             snap.accessible(0, -1)
-
-
-class TestHintFreeBackends:
-    @pytest.mark.parametrize("backend", ["cam", "naive"])
-    def test_snapshot_isolated_from_in_memory_update(self, paper_doc, backend):
-        matrix = AccessMatrix.from_masks(MASKS, 2)
-        labeling = build_labeling(backend, paper_doc, matrix)
-        with NoKStore(paper_doc, labeling, page_size=96) as store:
-            snap = store.snapshot()
-            cost = store.update_subject_range(0, store.n_nodes, 0, False)
-            assert cost.pages_rewritten == 0  # no embedded codes
-            assert store.epoch == 1
-            assert masks_via(snap) == MASKS
-            assert masks_via(store.snapshot()) == [m & 0b10 for m in MASKS]
 
 
 class TestEngineBinding:
