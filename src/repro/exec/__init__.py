@@ -3,12 +3,12 @@
 Compiles a parsed twig query + NoK decomposition into an explicit tree of
 composable iterator operators so results stream out incrementally —
 instead of materializing every intermediate list. See
-:mod:`repro.exec.planner` for the compilation pipeline and the
-secure-semantics plan rewrites, :mod:`repro.exec.operators` for the one
-operator set (batch-at-a-time, over the array kernels of
-:mod:`repro.exec.kernels`), and :mod:`repro.exec.context` for the shared
-execution state, statistics and the view-semantics
-:class:`~repro.exec.context.PathAccessIndex`.
+:mod:`repro.exec.planner` for the compilation pipeline and the secure
+plan rewrite, :mod:`repro.exec.operators` for the one operator set
+(batch-at-a-time, over the array kernels of :mod:`repro.exec.kernels`),
+and :mod:`repro.exec.context` for the shared execution state and
+statistics — including the decoded run list through which both secure
+semantics answer ACCESS.
 """
 
 from repro.exec.context import EvalStats, ExecutionContext, OperatorStats, QueryResult
@@ -18,19 +18,13 @@ from repro.exec.operators import (
     NPMMatch,
     Operator,
     PageSkipScan,
-    PathCheck,
     Project,
     RootVerify,
     STDJoin,
     StaticEmpty,
     TagIndexScan,
 )
-from repro.exec.planner import (
-    PhysicalPlan,
-    Planner,
-    apply_cho_rewrite,
-    apply_view_rewrite,
-)
+from repro.exec.planner import PhysicalPlan, Planner, apply_access_rewrite
 from repro.exec.resultcache import ResultCache
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "Operator",
     "OperatorStats",
     "PageSkipScan",
-    "PathCheck",
     "PhysicalPlan",
     "Planner",
     "Project",
@@ -52,6 +45,5 @@ __all__ = [
     "STDJoin",
     "StaticEmpty",
     "TagIndexScan",
-    "apply_cho_rewrite",
-    "apply_view_rewrite",
+    "apply_access_rewrite",
 ]

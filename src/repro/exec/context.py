@@ -3,10 +3,14 @@
 One :class:`ExecutionContext` is threaded through every operator of a
 compiled plan. It carries the data source (in-memory document or block
 store), the access labeling (a :class:`~repro.dol.labeling.DOL`), the
-tag index, the secure-evaluation
-subject(s) and semantics, and the measurement state: the query-level
-:class:`EvalStats` plus the per-subject path-accessibility oracle
-(:class:`PathAccessIndex`) used by view semantics.
+tag index, the secure-evaluation subject(s) and semantics, and the
+query-level :class:`EvalStats`.
+
+Both semantics answer ACCESS from one decoded
+:class:`~repro.labeling.runs.RunList`; the semantics decides only which
+list (:meth:`ExecutionContext._decode_run_list` — node-level runs under
+Cho, their :func:`~repro.labeling.runs.view_runs` under view). Every
+operator and rewrite downstream is semantics-blind.
 
 :class:`EvalStats` and :class:`QueryResult` are defined here (rather than
 in :mod:`repro.nok.engine`) so the operator layer does not depend on the
@@ -18,17 +22,17 @@ imports the engine, which imports the execution layer.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dol.labeling import DOL
 from repro.errors import PageCorruptionError, ReproError
+from repro.labeling import runs
 from repro.labeling.classes import normalize_subjects
 from repro.labeling.runs import RunCache, RunList
 from repro.secure.semantics import CHO, SEMANTICS, VIEW
 from repro.storage.nokstore import NoKStore
-from repro.xmltree.document import NO_NODE, Document
+from repro.xmltree.document import Document
 
 AccessFn = Optional[Callable[[int], bool]]
 Subject = Union[int, Sequence[int]]
@@ -112,73 +116,18 @@ class OperatorStats:
         self.extra[counter] = self.extra.get(counter, 0) + amount
 
 
-class PathAccessIndex:
-    """Per-subject path-accessibility oracle for view semantics.
-
-    For the view semantics of Gabillon–Bruno (Section 4.2) a joined pair
-    additionally requires *every node on the path* from ancestor to
-    descendant to be accessible. ``deepest_blocked[pos]`` is the document
-    position of the deepest inaccessible node on the root-to-pos path
-    (including ``pos`` itself), or ``NO_NODE`` if the whole path is
-    accessible, so the path test is O(1) per pair without extra page
-    reads. Computed in one linear scan over the document and the DOL's
-    per-node masks.
-
-    The index is the subject's pruned view materialised: a function of
-    the document version and the access class, not of the query. It is
-    immutable once built, so :attr:`ExecutionContext.path_index` shares
-    one per (epoch, class) between queries and threads.
-    """
-
-    def __init__(self, doc: Document, labeling: DOL, subject):
-        self.doc = doc
-        n = len(doc)
-        blocked = array("i", [NO_NODE]) * n
-        masks = labeling.to_masks()
-        # `subject` may be a single subject id or a collection of ids (a
-        # user's own subject plus her groups; union semantics).
-        if isinstance(subject, int):
-            bit = 1 << subject
-        else:
-            bit = 0
-            for s in subject:
-                bit |= 1 << s
-        for pos in range(n):
-            par = doc.parent[pos]
-            inherited = blocked[par] if par != NO_NODE else NO_NODE
-            blocked[pos] = pos if not masks[pos] & bit else inherited
-        self.deepest_blocked = blocked
-
-    def node_accessible(self, pos: int) -> bool:
-        return self.deepest_blocked[pos] != pos
-
-    def path_accessible(self, ancestor: int, descendant: int) -> bool:
-        """True iff every node on [ancestor, descendant] is accessible.
-
-        The deepest blocked node above ``descendant`` must be a proper
-        ancestor of ``ancestor`` (i.e. outside the joined path) or absent.
-        """
-        blocked = self.deepest_blocked[descendant]
-        if blocked == NO_NODE:
-            return True
-        # `blocked` lies on the root→descendant path; the path segment
-        # [ancestor, descendant] avoids it iff it is a *proper ancestor*
-        # of `ancestor`.
-        return blocked < ancestor < self.doc.subtree_end(blocked)
-
-
 class ExecutionContext:
     """Shared state for one plan execution.
 
     Normalizes the ``subject`` argument (a single subject id, or a
     sequence of ids for user-level evaluation — rights are the union, per
     Section 4's footnote), owns the per-query :class:`EvalStats`, and
-    lazily builds the ACCESS function appropriate to the semantics:
+    lazily builds the ACCESS function from the query's decoded run list
+    (no page I/O):
 
-    - Cho semantics: node-level accessibility from the decoded run list
-      of the DOL (no page I/O);
-    - view semantics: whole-root-path accessibility via the
-      :class:`PathAccessIndex` (the pruned-view model).
+    - Cho semantics: node-level accessibility;
+    - view semantics: whole-root-path accessibility (the pruned-view
+      model of Gabillon–Bruno).
     """
 
     def __init__(
@@ -206,10 +155,6 @@ class ExecutionContext:
         #: through it): duplicates and ordering collapse, so every cache
         #: keyed on the subject set downstream sees one canonical form
         self.subjects: Optional[Tuple[int, ...]] = normalize_subjects(subject)
-        self.subject = (
-            subject if isinstance(subject, int) or subject is None
-            else self.subjects
-        )
         #: access class the engine's directory resolved for the subject
         #: set (None for standalone contexts); when present it replaces
         #: the subject tuple in the run-cache key, so class-equivalent
@@ -220,7 +165,6 @@ class ExecutionContext:
         self.stats.access_class = class_id
         self._access: AccessFn = None
         self._access_built = False
-        self._path_index = None
         #: shared across queries when the engine passes its cache in; a
         #: standalone context gets a private one on first use
         self._run_cache = run_cache
@@ -284,24 +228,6 @@ class ExecutionContext:
     # -- access control ----------------------------------------------------
 
     @property
-    def path_index(self) -> PathAccessIndex:
-        """Path-accessibility oracle of the subject set (view semantics).
-
-        Cached beside the run lists, under the same (epoch, access
-        class) key, so every view query of one class at one epoch — its
-        ACCESS function, its run list and its :class:`PathCheck`s — reads
-        one index, and a commit invalidates it by key.
-        """
-        if self._path_index is None:
-            if self.subject is None:
-                raise ReproError("path index requires a subject")
-            self._path_index = self._cache().get_or_build(
-                self._cache_key("path-index"),
-                lambda: PathAccessIndex(self.doc, self.labeling, self.subject),
-            )[0]
-        return self._path_index
-
-    @property
     def access(self) -> AccessFn:
         """The ACCESS function of Algorithm 1 (None for non-secure plans).
 
@@ -331,7 +257,8 @@ class ExecutionContext:
         semantics, of *path* accessibility (a position's run flag says
         its whole root path is accessible). Always decoded from the
         in-memory labeling — the snapshot's frozen clone when store-backed
-        — so building it performs no page I/O.
+        — and the document's subtree sizes, so building it performs no
+        page I/O.
 
         Lists are memoized in the :class:`~repro.labeling.runs.RunCache`
         keyed by ``(epoch, access class, semantics)`` (see
@@ -358,31 +285,38 @@ class ExecutionContext:
             self._run_cache = RunCache(capacity=8)
         return self._run_cache
 
-    def _cache_key(self, artifact: str) -> Tuple:
-        """``(epoch, access class, artifact)`` — the one key discipline.
+    def _cache_key(self, semantics: str) -> Tuple:
+        """``(epoch, access class, semantics)`` — the one key discipline.
 
         The epoch is the store epoch when a snapshot is bound (a commit
         bumps it, so a commit *is* the invalidation), the labeling's
         identity and ``runs_epoch`` otherwise. The access component is
         the :attr:`class_id` when the engine resolved one —
         class-equivalent subject sets share the entry — or the
-        normalized subject tuple for standalone contexts. ``artifact``
-        is the semantics for a run list, ``"path-index"`` for the path
-        index.
+        normalized subject tuple for standalone contexts.
         """
         access = self.class_id if self.class_id is not None else self.subjects
         if self.store is not None:
-            return ("store", self.store.epoch, access, artifact)
+            return ("store", self.store.epoch, access, semantics)
         labeling = self.labeling
-        return ("mem", id(labeling), labeling.runs_epoch, access, artifact)
+        return ("mem", id(labeling), labeling.runs_epoch, access, semantics)
 
     def _decode_run_list(self) -> RunList:
-        n = len(self.doc)
+        """The only place execution tells the semantics apart.
+
+        A view list is derived from the class's Cho list, read through
+        the same cache under the Cho key, so one transition decode per
+        (epoch, class) serves both semantics.
+        """
         if self.semantics == VIEW:
-            deepest_blocked = self.path_index.deepest_blocked
-            return RunList.from_flags(
-                [blocked == NO_NODE for blocked in deepest_blocked]
+            cho, _hit = self._cache().get_or_build(
+                self._cache_key(CHO), self._decode_cho_runs
             )
+            return runs.view_runs(cho, self.doc.subtree_end)
+        return self._decode_cho_runs()
+
+    def _decode_cho_runs(self) -> RunList:
+        n = len(self.doc)
         return RunList.from_runs(
             self.labeling.access_runs_any(self.subjects, 0, n), 0, n
         )
@@ -391,26 +325,22 @@ class ExecutionContext:
         if self.subjects is None:
             return None
         stats = self.stats
-        if self.semantics == VIEW:
-            # View semantics: a node is usable iff its whole root path is
-            # accessible (the pruned-view model).
-            deepest_blocked = self.path_index.deepest_blocked
-
-            def view_access(pos: int) -> bool:
-                stats.access_checks += 1
-                return deepest_blocked[pos] == NO_NODE
-
-            return view_access
-
-        # Cho semantics: node-level accessibility, answered from the
-        # decoded run list — a bisect over run boundaries instead of a
-        # per-node code read, and zero I/O even store-backed. Each
-        # answered check is a probe the labeling never had to perform.
-        run_list = self.run_list()
+        # Answered from the decoded run list — zero I/O even store-backed,
+        # and each answered check is a probe the labeling never had to
+        # perform. The matcher probes a candidate's children, which lie
+        # close together in document order (§3.2), so the run that
+        # answered the last probe usually answers the next: only a probe
+        # outside it pays the bisect over run boundaries. The run is one
+        # tuple, replaced whole, so bounds and flag always belong together.
+        run_at = self.run_list().run_at
+        run = (0, 0, False)
 
         def run_access(pos: int) -> bool:
+            nonlocal run
             stats.access_checks += 1
             stats.probes_saved += 1
-            return run_list.is_accessible(pos)
+            if not run[0] <= pos < run[1]:
+                run = run_at(pos)
+            return run[2]
 
         return run_access

@@ -19,8 +19,8 @@ Batch types are uniform per plan edge:
   :class:`ColumnBatch` of position columns when every binding is
   positional (the ``//``-chain case), a list of binding dicts
   (``id(pattern node) -> position``) for full NPM matches;
-- :class:`STDJoin` and :class:`PathCheck` consume and produce binding
-  batches, staying columnar whenever both inputs are;
+- :class:`STDJoin` consumes and produces binding batches, staying
+  columnar whenever both inputs are;
 - :class:`Project` reduces bindings to distinct returning-node positions.
 
 :class:`AccessFilter` intersects whole batches against the query's
@@ -49,7 +49,6 @@ from repro.exec.kernels import active_kernels
 from repro.nok.decompose import NoKSubtree
 from repro.nok.matcher import Binding, match_nok_subtree
 from repro.nok.pattern import CHILD, PatternNode
-from repro.secure.semantics import VIEW
 
 #: First batch a scan emits; each subsequent batch doubles up to the max,
 #: so early-terminating plans (Limit) touch few candidates while long
@@ -391,14 +390,15 @@ class AccessFilter(Operator):
     """The ε-NoK ACCESS pre-condition on candidate roots (Algorithm 1).
 
     Under Cho semantics the check is node-level accessibility; under view
-    semantics the run list is already path-based, making this the
-    Gabillon–Bruno pruned-view test. Inserted only by the secure rewrites
-    — non-secure plans carry no filter at all.
+    semantics the run list is path-based, making this the Gabillon–Bruno
+    pruned-view test — and, since every binding a join sees has passed
+    it, the only path test a view plan needs. Inserted only by the secure
+    rewrite — non-secure plans carry no filter at all.
 
     Instead of probing each candidate, the sorted batch is intersected
     against the accessible intervals of the query's run list — one array
     kernel call per batch. Checks are still counted per candidate in
-    ``stats.access_checks``.
+    ``stats.access_checks``, each one a probe saved.
     """
 
     name = "AccessFilter"
@@ -406,13 +406,11 @@ class AccessFilter(Operator):
     def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
         run_list = ctx.run_list()  # never None: only secure plans carry a filter
         stats = ctx.stats
-        count_probes = ctx.semantics != VIEW
         for batch in self.child.execute(ctx):
             kept = run_list.filter_positions(batch)
             n, k = len(batch), len(kept)
             stats.access_checks += n
-            if count_probes:
-                stats.probes_saved += n
+            stats.probes_saved += n
             if k < n:
                 self.stats.bump("denied", n - k)
             if k:
@@ -649,63 +647,6 @@ class STDJoin(Operator):
 
     def describe(self) -> str:
         return f"<{self.parent_node.tag}> // <{self.child_root.tag}>"
-
-
-class PathCheck(Operator):
-    """ε-STD path-accessibility test on joined pairs (view semantics).
-
-    A joined (ancestor, descendant) pair survives only if every node on
-    the path between them is accessible — the Gabillon–Bruno condition,
-    answered in O(1) per pair by the precomputed deepest-blocked-ancestor
-    index. Inserted above every :class:`STDJoin` by the view rewrite.
-    Positional batches are filtered column-wise (the surviving rows stay
-    positional).
-    """
-
-    name = "PathCheck"
-
-    def __init__(self, child: "STDJoin"):
-        super().__init__(child)
-        self.parent_key = child.parent_key
-        self.child_key = child.child_key
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[BindingBatch]:
-        path_ok = ctx.path_index.path_accessible
-        parent_key, child_key = self.parent_key, self.child_key
-        for batch in self.child.execute(ctx):
-            if isinstance(batch, ColumnBatch):
-                parents = batch.column(parent_key)
-                children = batch.column(child_key)
-                keep = [
-                    i
-                    for i in range(len(batch))
-                    if path_ok(parents[i], children[i])
-                ]
-                pruned = len(batch) - len(keep)
-                if pruned:
-                    self.stats.bump("pruned", pruned)
-                if keep:
-                    if pruned:
-                        yield ColumnBatch(
-                            batch.keys,
-                            tuple(
-                                array("q", (col[i] for i in keep))
-                                for col in batch.columns
-                            ),
-                            len(keep),
-                        )
-                    else:
-                        yield batch
-                continue
-            out = [m for m in batch if path_ok(m[parent_key], m[child_key])]
-            pruned = len(batch) - len(out)
-            if pruned:
-                self.stats.bump("pruned", pruned)
-            if out:
-                yield out
-
-    def describe(self) -> str:
-        return "ε-STD path accessibility"
 
 
 class Project(Operator):

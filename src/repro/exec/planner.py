@@ -7,19 +7,16 @@ decomposition into a tree of Volcano operators:
 2. every ancestor–descendant edge of the decomposition folds the child
    subtree's plan into its parent via an :class:`~repro.exec.operators.STDJoin`
    (children joined bottom-up, in decomposition-edge order);
-3. the secure-semantics *rewrites* then transform the tree — security is
-   a plan transformation, not an ``if`` branch inside an evaluator:
-
-   - :func:`apply_cho_rewrite` (Cho et al.): inserts an
-     :class:`~repro.exec.operators.AccessFilter` above every
-     ``RootVerify`` (the ε-NoK pre-condition) and, over a block store, a
-     :class:`~repro.exec.operators.PageSkipScan` above every
-     ``TagIndexScan``;
-   - :func:`apply_view_rewrite` (Gabillon–Bruno): same insertions — the
-     context's ACCESS function is path-based under view semantics, so the
-     filters prune the view — plus a
-     :class:`~repro.exec.operators.PathCheck` above every ``STDJoin``
-     (the ε-STD condition);
+3. the secure *rewrite* :func:`apply_access_rewrite` then transforms the
+   tree — security is a plan transformation, not an ``if`` branch inside
+   an evaluator. It inserts an
+   :class:`~repro.exec.operators.AccessFilter` above every ``RootVerify``
+   (the ε-NoK pre-condition) and, over a block store, a
+   :class:`~repro.exec.operators.PageSkipScan` above every
+   ``TagIndexScan``. One rewrite serves both semantics: the context's run
+   list is node-level under Cho and path-level under view
+   (Gabillon–Bruno), so under view the filters prune the view and every
+   binding a join sees already has an accessible root path;
 
 4. a :class:`~repro.exec.operators.Project` (distinct returning-node
    positions) and an optional :class:`~repro.exec.operators.Limit` cap
@@ -45,7 +42,6 @@ from repro.exec.operators import (
     NPMMatch,
     Operator,
     PageSkipScan,
-    PathCheck,
     Project,
     RootVerify,
     STDJoin,
@@ -54,7 +50,6 @@ from repro.exec.operators import (
 )
 from repro.nok.decompose import Decomposition, decompose
 from repro.nok.pattern import CHILD, PatternTree, parse_query
-from repro.secure.semantics import VIEW
 
 
 class PhysicalPlan:
@@ -168,7 +163,7 @@ class PhysicalPlan:
             self._render(child, depth + 1, analyze, lines)
 
 
-# -- secure-semantics rewrites -------------------------------------------------
+# -- the secure rewrite --------------------------------------------------------
 
 
 def _transform(op: Operator, fn: Callable[[Operator], Operator]) -> Operator:
@@ -177,14 +172,15 @@ def _transform(op: Operator, fn: Callable[[Operator], Operator]) -> Operator:
     return fn(op)
 
 
-def apply_cho_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
-    """Cho et al. secure semantics as a plan transformation.
+def apply_access_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
+    """Secure evaluation, under either semantics, as a plan transformation.
 
     Every candidate root gains the ε-NoK ACCESS pre-condition
     (:class:`AccessFilter`); over a block store every scan gains
     header-driven page skipping (:class:`PageSkipScan`). Joins need
     nothing extra — every binding delivered by ε-NoK already passed its
-    node-level check.
+    check, which under view semantics is the whole root path's (the
+    context's run list decides which).
     """
 
     def rewrite(op: Operator) -> Operator:
@@ -192,26 +188,6 @@ def apply_cho_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
             return PageSkipScan(op)
         if isinstance(op, RootVerify):
             return AccessFilter(op)
-        return op
-
-    return _transform(root, rewrite)
-
-
-def apply_view_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
-    """Gabillon–Bruno view semantics as a plan transformation.
-
-    Same filter/skip insertions as the Cho rewrite — but the context's
-    ACCESS function is *path* accessibility, so the filters prune the
-    view — plus the ε-STD :class:`PathCheck` above every structural join.
-    """
-
-    def rewrite(op: Operator) -> Operator:
-        if isinstance(op, TagIndexScan) and ctx.store is not None:
-            return PageSkipScan(op)
-        if isinstance(op, RootVerify):
-            return AccessFilter(op)
-        if isinstance(op, STDJoin):
-            return PathCheck(op)
         return op
 
     return _transform(root, rewrite)
@@ -262,8 +238,8 @@ class Planner:
                 StaticEmpty(), self.ctx, pattern, dec, prepass=prepass
             )
         root = self._plan_subtree(dec, 0, pattern, ordered)
-        if prepass != "allow":
-            root = self._apply_semantics(root)
+        if self.ctx.secure and prepass != "allow":
+            root = apply_access_rewrite(root, self.ctx)
         root = Project(root, pattern.returning_node)
         if limit is not None:
             root = Limit(root, limit)
@@ -300,7 +276,7 @@ class Planner:
         means every access filter would pass every row under either
         semantics — drop them; none accessible means no binding can
         survive — the plan is statically empty. Partial accessibility
-        returns None and the normal rewrites apply.
+        returns None and the secure rewrite applies.
         """
         ctx = self.ctx
         if not ctx.secure:
@@ -317,10 +293,3 @@ class Planner:
             ctx.neutralize_access()
             return "allow"
         return None
-
-    def _apply_semantics(self, root: Operator) -> Operator:
-        if not self.ctx.secure:
-            return root
-        if self.ctx.semantics == VIEW:
-            return apply_view_rewrite(root, self.ctx)
-        return apply_cho_rewrite(root, self.ctx)

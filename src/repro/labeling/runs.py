@@ -12,6 +12,11 @@ module gives it a first-class representation:
   O(log R) point probes (``is_accessible``) and O(R + log B) sorted-batch
   intersection (``filter_positions``) — the primitive the vectorized
   operators are built on;
+- :func:`view_runs` derives the Gabillon–Bruno view from a node-level
+  (Cho) run list: a node is view-hidden iff it lies in the subtree of
+  some inaccessible node, so each inaccessible run widens to the end of
+  its last top-level subtree — O(runs) ``subtree_end`` reads, no
+  per-node work;
 - :class:`RunCache` memoizes decoded run lists per ``(snapshot epoch,
   access class, semantics)`` — class-equivalent subject sets share one
   entry — so a serving workload decodes each labeling epoch once per
@@ -21,8 +26,8 @@ module gives it a first-class representation:
 
 Run *production* lives with the labeling
 (:meth:`~repro.dol.labeling.DOL.access_runs` decodes them straight from
-the transition list); this module only represents and caches them, so it
-must not import the DOL.
+the transition list); this module only represents, derives and caches
+them, so it must not import the DOL.
 """
 
 from __future__ import annotations
@@ -148,6 +153,15 @@ class RunList:
             raise AccessControlError(f"position {pos} outside [{self.lo}, {self.hi})")
         return self._flags[bisect_right(self._starts, pos) - 1]
 
+    def run_at(self, pos: int) -> Run:
+        """The run containing ``pos`` (O(log R))."""
+        if not self.lo <= pos < self.hi:
+            raise AccessControlError(f"position {pos} outside [{self.lo}, {self.hi})")
+        starts = self._starts
+        i = bisect_right(starts, pos) - 1
+        end = starts[i + 1] if i + 1 < len(starts) else self.hi
+        return (starts[i], end, self._flags[i])
+
     def accessible_intervals(self) -> List[Tuple[int, int]]:
         """The accessible runs only, as ``(start, end)`` pairs."""
         return [(start, end) for start, end, flag in self.runs() if flag]
@@ -187,6 +201,36 @@ class RunList:
         )
 
 
+def view_runs(cho: RunList, subtree_end: Callable[[int], int]) -> RunList:
+    """The view run list of a whole-document Cho run list.
+
+    Under view semantics a node is visible iff every node on its root
+    path is accessible, i.e. hidden iff it lies in ``[p, subtree_end(p))``
+    for some inaccessible ``p``. Within an inaccessible Cho run
+    ``[a, b)`` those intervals union to ``[a, e)``: hop
+    ``p -> subtree_end(p)`` from ``a`` while ``p < b`` — one hop per
+    top-level subtree of the run, each hop root itself inaccessible.
+    ``e`` may pass ``b``; the accessible runs it overlaps are cut, and a
+    later inaccessible run starts hopping where the hidden interval
+    ended. ``cho`` must cover ``[0, n)`` of the document ``subtree_end``
+    navigates.
+    """
+    runs: List[Run] = []
+    hidden_end = cho.lo
+    for start, end, accessible in cho.runs():
+        if end <= hidden_end:
+            continue
+        start = max(start, hidden_end)
+        if accessible:
+            runs.append((start, end, True))
+            continue
+        hidden_end = start
+        while hidden_end < end:
+            hidden_end = subtree_end(hidden_end)
+        runs.append((start, hidden_end, False))
+    return RunList.from_runs(runs, cho.lo, cho.hi)
+
+
 #: Cache key: (source tag + epoch, access class id or subject tuple,
 #: semantics). The class id comes from the engine's
 #: :class:`~repro.labeling.classes.ClassDirectory`; standalone contexts
@@ -203,9 +247,10 @@ class RunCache:
     while entries for dead epochs age out of the LRU. One cache must only
     ever serve one store / labeling lineage (the engine owns one).
 
-    The view-semantics path index of an (epoch, access class) has the
-    same lifetime and lives here under the same key discipline (see
-    :attr:`repro.exec.context.ExecutionContext.path_index`).
+    A view list is built from the Cho list of the same (epoch, access
+    class), read through this cache under the Cho key (see
+    :meth:`repro.exec.context.ExecutionContext._decode_run_list`), so one
+    transition decode serves both semantics.
     """
 
     def __init__(self, capacity: int = 64):

@@ -9,7 +9,7 @@
   the literal Algorithm 1 it is tested against.
 - :mod:`~repro.nok.engine` — the end-to-end query engine with statistics
   (a facade over :mod:`repro.exec`, which holds the operators — the
-  ε-STD structural join and its path-accessibility check included).
+  ε-STD structural join included).
 - :mod:`~repro.nok.reference` — a brute-force evaluator used as the test
   oracle.
 """

@@ -4,10 +4,10 @@ Evaluation is compiled, not interpreted: a query is parsed, decomposed
 into NoK subtrees, and handed to the :class:`~repro.exec.planner.Planner`,
 which emits an explicit physical plan of Volcano-style operators
 (``TagIndexScan → RootVerify → NPMMatch``, folded together by ``STDJoin``
-edges, with the secure semantics applied as plan rewrites — the ε-NoK
-ACCESS pre-condition, header-driven page skipping over a
-:class:`~repro.storage.nokstore.NoKStore`, and ε-STD path checks under
-view semantics). Operators pull bindings lazily from their children, so
+edges, with secure evaluation applied as a plan rewrite — the ε-NoK
+ACCESS pre-condition and header-driven page skipping over a
+:class:`~repro.storage.nokstore.NoKStore`; under view semantics ACCESS
+is root-path accessibility, so joins need no path check). Operators pull bindings lazily from their children, so
 results stream out incrementally; :meth:`QueryEngine.stream` exposes the
 raw iterator and :meth:`QueryEngine.evaluate` drains it into the
 historical :class:`QueryResult`.

@@ -24,6 +24,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.dol.labeling import DOL
 from repro.errors import AccessControlError
+from repro.labeling.runs import RunList, view_runs
 from repro.xmltree import parser
 from repro.xmltree.document import NO_NODE
 from repro.xmltree.node import Node
@@ -45,7 +46,10 @@ def filter_xml(
 
     The input is consumed as a SAX-like event stream; each start event is
     matched to its document position (events arrive in document order, the
-    same order the DOL is keyed on) and checked against the DOL.
+    same order the DOL is keyed on) and checked against the DOL. Every
+    start event counts, pruned or not: input with more elements than the
+    DOL covers, or fewer, raises :class:`AccessControlError` — labels
+    applied to the wrong document would filter it silently wrong.
 
     The output is a well-formed XML *fragment*: under ``PRUNE`` it is a
     single element or empty; under ``HOIST`` hoisting can surface several
@@ -75,13 +79,13 @@ def filter_xml(
             tag, attrs = payload  # type: ignore[misc]
             pos = position
             position += 1
-            if prune_depth is not None:
-                stack.append(None)
-                continue
             if pos >= labeling.n_nodes:
                 raise AccessControlError(
                     "document has more elements than the DOL covers"
                 )
+            if prune_depth is not None:
+                stack.append(None)
+                continue
             if labeling.accessible(subject, pos):
                 flush_pending()
                 attr_text = "".join(
@@ -110,32 +114,39 @@ def filter_xml(
                 flush_pending()
                 out.append(escape_text(str(payload)))
 
+    if position != labeling.n_nodes:
+        raise AccessControlError(
+            f"document has {position} elements, the DOL covers {labeling.n_nodes}"
+        )
     return "".join(out)
+
+
+def _expand(run_list: RunList) -> List[int]:
+    return [
+        pos for start, end in run_list.accessible_intervals()
+        for pos in range(start, end)
+    ]
+
+
+def _cho_runs(labeling: DOL, subject: int) -> RunList:
+    n = labeling.n_nodes
+    return RunList.from_runs(labeling.access_runs(subject, 0, n), 0, n)
 
 
 def visible_positions(labeling: DOL, subject: int, doc) -> List[int]:
     """Positions surviving PRUNE filtering (view-visible nodes).
 
     A node survives iff every node on its root path, itself included, is
-    accessible — the same set the :class:`~repro.exec.context.PathAccessIndex`
-    computes; exposed here for verification and tests.
+    accessible: the accessible runs of the same
+    :func:`~repro.labeling.runs.view_runs` list view-semantics queries
+    filter with. Exposed for verification and tests.
     """
-    visible: List[int] = []
-    flags = [False] * labeling.n_nodes
-    for pos in range(labeling.n_nodes):
-        par = doc.parent[pos]
-        above = flags[par] if par >= 0 else True
-        flags[pos] = above and labeling.accessible(subject, pos)
-        if flags[pos]:
-            visible.append(pos)
-    return visible
+    return _expand(view_runs(_cho_runs(labeling, subject), doc.subtree_end))
 
 
 def hoisted_positions(labeling: DOL, subject: int) -> List[int]:
     """Positions surviving HOIST filtering: simply the accessible nodes."""
-    return [
-        pos for pos in range(labeling.n_nodes) if labeling.accessible(subject, pos)
-    ]
+    return _expand(_cho_runs(labeling, subject))
 
 
 # -- query-driven dissemination ------------------------------------------------

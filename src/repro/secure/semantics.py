@@ -12,7 +12,10 @@ inaccessible node cannot contribute answers even if it contains accessible
 nodes; equivalently, the query runs over the pruned view containing exactly
 the nodes whose entire root path is accessible. This is the semantics that
 requires the ε-STD secure structural join with path accessibility checks
-(Section 4.2).
+(Section 4.2). Here those checks are folded into accessibility itself:
+the view is a run list derived from the node-level one
+(:func:`repro.labeling.runs.view_runs`), and a join over bindings whose
+roots passed it needs no further test.
 """
 
 from __future__ import annotations

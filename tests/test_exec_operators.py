@@ -88,12 +88,27 @@ def test_matches_oracle_store_backed(doc, matrix, oracle, semantics):
         assert got.positions == oracle(query, 1, semantics)
 
 
-def test_matches_oracle_user_level(doc, matrix, oracle):
-    """Multi-subject evaluation: run lists union the subjects' rights."""
+@pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
+@pytest.mark.parametrize("semantics", (CHO, VIEW))
+def test_matches_oracle_user_level(doc, matrix, oracle, semantics, use_store):
+    """Multi-subject evaluation: run lists union the subjects' rights
+    (under view, before the root-path rule is applied to the union)."""
+    engine = QueryEngine.build(doc, matrix, use_store=use_store, page_size=256)
+    for subjects in ((0, 2), (0, 1, 2)):
+        for query in QUERY_SET:
+            got = engine.evaluate(query, subject=subjects, semantics=semantics)
+            assert got.positions == oracle(query, subjects, semantics)
+
+
+@pytest.mark.parametrize("semantics", (CHO, VIEW))
+def test_every_access_check_is_a_probe_saved(doc, matrix, semantics):
     engine = QueryEngine.build(doc, matrix)
+    checks = 0
     for query in QUERY_SET:
-        got = engine.evaluate(query, subject=(0, 2), semantics=CHO)
-        assert got.positions == oracle(query, (0, 2))
+        stats = engine.evaluate(query, subject=1, semantics=semantics).stats
+        assert stats.probes_saved == stats.access_checks
+        checks += stats.access_checks
+    assert checks > 0
 
 
 def test_non_secure_plans_match_oracle(doc, oracle):

@@ -1,7 +1,7 @@
 """Tests for the physical plan compiler: structure, rewrites, correctness.
 
 The planner must (a) emit the right operator tree for each query shape,
-(b) apply the secure-semantics rewrites as plan transformations, and
+(b) apply the secure rewrite as a plan transformation, and
 (c) produce answers identical to the legacy evaluation semantics — for
 every benchmark query, under both Cho and view semantics, over both the
 in-memory document and the block store.
@@ -18,7 +18,6 @@ from repro.exec import (
     Limit,
     NPMMatch,
     PageSkipScan,
-    PathCheck,
     Project,
     RootVerify,
     STDJoin,
@@ -49,7 +48,7 @@ def _ops(plan, kind):
 def partial_matrix(xdoc):
     # Subject 0's root path is accessible but one subtree is revoked, so
     # path accessibility is partial and the static pre-pass cannot
-    # resolve the class — the view rewrite must actually appear.
+    # resolve the class — the secure rewrite must actually appear.
     matrix = AccessMatrix(len(xdoc), 2)
     matrix.grant_range(0, 0, len(xdoc))
     for pos in range(100, 200):
@@ -94,14 +93,25 @@ class TestPlanShape:
         filters = _ops(plan, AccessFilter)
         assert len(filters) == 2
         assert all(isinstance(f.child, RootVerify) for f in filters)
-        assert len(_ops(plan, PathCheck)) == 0
 
-    def test_view_rewrite_adds_path_checks(self, xdoc, partial_matrix):
-        engine = QueryEngine.build(xdoc, partial_matrix)
-        plan = engine.compile(QUERIES["Q5"], subject=0, semantics=VIEW)
-        checks = _ops(plan, PathCheck)
-        assert len(checks) == 1
-        assert isinstance(checks[0].child, STDJoin)
+    @pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
+    def test_view_plan_has_the_cho_plan_shape(self, xdoc, partial_matrix, use_store):
+        # one rewrite serves both semantics: a view plan differs from the
+        # Cho plan only in the run list its filters read
+        engine = QueryEngine.build(
+            xdoc, partial_matrix, use_store=use_store, page_size=256
+        )
+
+        def shape(semantics):
+            plan = engine.compile(QUERIES["Q5"], subject=0, semantics=semantics)
+            assert plan.prepass is None
+            return [
+                (op.name, [child.name for child in op.children])
+                for op in plan.operators()
+            ]
+
+        assert shape(VIEW) == shape(CHO)
+        assert ("STDJoin", ["NPMMatch", "NPMMatch"]) in shape(VIEW)
 
     def test_fully_blocked_view_compiles_to_static_empty(self, xdoc, matrix):
         # the synthetic matrix denies subject 0 the document root, so
@@ -126,7 +136,7 @@ class TestPlanShape:
         engine = QueryEngine.build(xdoc, partial_matrix)
         plan = engine.compile(QUERIES["Q5"], subject=0, semantics=VIEW)
         text = plan.explain()
-        for name in ("Project", "PathCheck", "STDJoin", "NPMMatch", "TagIndexScan"):
+        for name in ("Project", "STDJoin", "NPMMatch", "AccessFilter", "TagIndexScan"):
             assert name in text
         assert "rows=" not in text  # analyze=False
 

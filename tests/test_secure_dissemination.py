@@ -82,6 +82,16 @@ class TestValidation:
         with pytest.raises(AccessControlError):
             filter_xml(XML, dol_for([1, 1]), 0)
 
+    def test_surplus_elements_inside_a_pruned_subtree(self):
+        # b is pruned, and the DOL ends before its children
+        with pytest.raises(AccessControlError, match="more elements"):
+            filter_xml("<r><a/><b><x/><y/></b></r>", dol_for([1, 1, 0]), 0, PRUNE)
+
+    @pytest.mark.parametrize("policy", (PRUNE, HOIST))
+    def test_dol_too_large(self, policy):
+        with pytest.raises(AccessControlError, match="the DOL covers 4"):
+            filter_xml("<r><a/></r>", dol_for([1] * 4), 0, policy)
+
     def test_attributes_preserved(self):
         xml = '<a id="1"><b name="x &amp; y"/></a>'
         out = filter_xml(xml, dol_for([1, 1]), 0)
