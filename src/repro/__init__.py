@@ -58,7 +58,6 @@ from repro.errors import ReproError
 from repro.exec.plancache import PlanCache
 from repro.exec.planner import PhysicalPlan, Planner
 from repro.exec.resultcache import ResultCache
-from repro.index.tagindex import TagIndex
 from repro.labeling import ClassDirectory, normalize_subjects
 from repro.secure.dissemination import filter_xml
 from repro.secure.secured import SecuredDocument
@@ -104,7 +103,6 @@ __all__ = [
     "StoreSnapshot",
     "SubjectRegistry",
     "SyntheticACLConfig",
-    "TagIndex",
     "__version__",
     "build_dol_streaming",
     "filter_xml",

@@ -72,7 +72,7 @@ def select(doc: Document, path: str) -> List[int]:
             raise AccessControlError(f"invalid descendant pattern {path!r}")
         if tag == "*":
             return list(range(len(doc)))
-        return doc.positions_with_tag(tag)
+        return list(doc.positions_with_tag(tag))
     if not path.startswith("/"):
         raise AccessControlError(f"path {path!r} must be absolute")
     steps = path[1:].split("/")

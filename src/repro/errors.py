@@ -97,13 +97,6 @@ class WALError(StorageError):
     """Raised on write-ahead-log misuse or an unrecoverable log file."""
 
 
-class IndexError_(ReproError):
-    """Raised on B+-tree structural violations.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """
-
-
 class UpdateError(ReproError):
     """Raised when a DOL update operation is invalid (bad target, etc.)."""
 

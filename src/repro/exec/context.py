@@ -3,8 +3,8 @@
 One :class:`ExecutionContext` is threaded through every operator of a
 compiled plan. It carries the data source (in-memory document or block
 store), the access labeling (a :class:`~repro.dol.labeling.DOL`), the
-tag index, the secure-evaluation subject(s) and semantics, and the
-query-level :class:`EvalStats`.
+secure-evaluation subject(s) and semantics, and the query-level
+:class:`EvalStats`.
 
 Both semantics answer ACCESS from one decoded
 :class:`~repro.labeling.runs.RunList`; the semantics decides only which
@@ -135,7 +135,6 @@ class ExecutionContext:
         doc: Document,
         labeling: Optional[DOL] = None,
         store: Optional[NoKStore] = None,
-        index=None,
         subject: Optional[Subject] = None,
         semantics: str = CHO,
         strict: bool = True,
@@ -149,7 +148,6 @@ class ExecutionContext:
         self.doc = doc
         self.labeling = labeling
         self.store = store
-        self.index = index
         self.semantics = semantics
         #: the shared normalization (engine, service, and CLI all route
         #: through it): duplicates and ordering collapse, so every cache

@@ -49,6 +49,7 @@ from repro.exec.kernels import active_kernels
 from repro.nok.decompose import NoKSubtree
 from repro.nok.matcher import Binding, match_nok_subtree
 from repro.nok.pattern import CHILD, PatternNode
+from repro.xmltree.document import Document
 
 #: First batch a scan emits; each subsequent batch doubles up to the max,
 #: so early-terminating plans (Limit) touch few candidates while long
@@ -182,15 +183,35 @@ class StaticEmpty(Operator):
         return self.reason
 
 
+def root_candidates(
+    doc: Document, pnode: PatternNode, anchored: bool = False
+) -> "range | array":
+    """Sorted candidate positions for a NoK subtree root over ``doc``.
+
+    ``anchored`` marks the query root under a ``/`` root axis: the only
+    candidate is position 0, if it passes the tag test. A wildcard root
+    takes every position; otherwise the document's tag index answers,
+    filtered to the nodes whose text equals the root's value test.
+    """
+    if anchored:
+        return array("q", (0,) if pnode.matches(doc.tag_name(0), doc.text(0)) else ())
+    if pnode.tag == "*":
+        return range(len(doc))
+    positions = doc.positions_with_tag(pnode.tag)
+    if pnode.value is not None:
+        texts, value = doc.texts, pnode.value
+        positions = array("q", [pos for pos in positions if texts[pos] == value])
+    return positions
+
+
 class TagIndexScan(Operator):
     """Candidate positions for one NoK subtree root, from the tag index.
 
-    ``anchored=True`` marks the query root under a ``/`` root axis: the
-    only candidate is document position 0 (checked against the tag test).
-    Wildcard roots scan every position; value-constrained roots use the
-    (tag, text) index. Candidates leave as ``array('q')`` batches with
-    doubling sizes; every emitted candidate is counted in
-    ``EvalStats.candidates``.
+    The candidates are :func:`root_candidates` over the context's
+    document — the snapshot's, so the index always matches what the
+    plan reads. They leave as ``array('q')`` batches (slices of the tag
+    index's array) with doubling sizes; every emitted candidate is
+    counted in ``EvalStats.candidates``.
     """
 
     name = "TagIndexScan"
@@ -201,23 +222,16 @@ class TagIndexScan(Operator):
         self.anchored = anchored
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
-        pnode, doc, stats = self.pnode, ctx.doc, ctx.stats
-        if self.anchored:
-            if pnode.matches(doc.tag_name(0), doc.text(0)):
-                stats.candidates += 1
-                yield array("q", (0,))
-            return
-        if pnode.tag == "*":
-            positions: "range | List[int]" = range(len(doc))
-        elif pnode.value is not None:
-            positions = ctx.index.positions_with_value(pnode.tag, pnode.value)
-        else:
-            positions = ctx.index.positions(pnode.tag)
+        stats = ctx.stats
+        positions = root_candidates(ctx.doc, self.pnode, self.anchored)
+        wildcard = isinstance(positions, range)
         total = len(positions)
         start = 0
         size = MIN_BATCH_SIZE
         while start < total:
-            batch = array("q", positions[start : start + size])
+            batch = positions[start : start + size]
+            if wildcard:
+                batch = array("q", batch)
             stats.candidates += len(batch)
             start += len(batch)
             size = min(size * 2, MAX_BATCH_SIZE)

@@ -21,7 +21,7 @@ I/O statistics, including pages *skipped* via the in-memory header table.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.acl.model import READ, AccessMatrix
 from repro.dol.labeling import DOL
@@ -32,8 +32,7 @@ from repro.exec.resultcache import ResultCache
 from repro.labeling import build_labeling
 from repro.labeling.classes import ClassDirectory, normalize_subjects
 from repro.labeling.runs import RunCache
-from repro.index.tagindex import TagIndex
-from repro.nok.decompose import Decomposition, decompose
+from repro.nok.decompose import decompose
 from repro.nok.pattern import CHILD, PatternTree, parse_query
 from repro.secure.semantics import CHO
 from repro.storage.nokstore import NoKStore
@@ -51,7 +50,6 @@ class QueryEngine:
         doc: Document,
         labeling: Optional[DOL] = None,
         store: Optional[NoKStore] = None,
-        index: Optional[TagIndex] = None,
         plan_cache_size: int = 128,
         run_cache_size: int = 64,
         result_cache_size: int = 256,
@@ -63,7 +61,6 @@ class QueryEngine:
             labeling if labeling is not None else (store.labeling if store else None)
         )
         self.store = store
-        self.index = index if index is not None else TagIndex(doc)
         #: compiled (pattern, decomposition) artifacts, shared by every
         #: execution — immutable once built, so cache hits are thread-safe
         self.plan_cache = PlanCache(plan_cache_size)
@@ -162,7 +159,6 @@ class QueryEngine:
             doc,
             labeling=labeling,
             store=source,
-            index=self.index,
             subject=subject if isinstance(subject, int) else subjects,
             semantics=semantics,
             strict=strict,
@@ -319,18 +315,23 @@ class QueryEngine:
 
         Returns a human-readable report in two parts: the logical NoK
         plan (canonical query form, subtree decomposition with candidate
-        counts from the tag index, bottom-up structural-join order) and
-        the compiled physical operator tree.
+        counts from the tag index of the document the plan reads,
+        bottom-up structural-join order) and the compiled physical
+        operator tree.
         """
+        from repro.exec.operators import root_candidates
+
         pattern = parse_query(query) if isinstance(query, str) else query
-        dec = decompose(pattern)
+        plan = self.compile(pattern)
+        dec = plan.decomposition
         lines = [f"query: {pattern.to_string()}"]
         lines.append(
             f"pattern nodes: {pattern.size()}, NoK subtrees: "
             f"{len(dec.subtrees)}, AD joins: {len(dec.edges)}"
         )
         for subtree in dec.subtrees:
-            candidates = len(self._candidates(dec, subtree.index, pattern))
+            anchored = subtree.index == 0 and pattern.root_axis == CHILD
+            candidates = len(root_candidates(plan.ctx.doc, subtree.root, anchored))
             marker = " (query root)" if subtree.index == 0 else ""
             returning = " [returning]" if subtree.contains_returning() else ""
             lines.append(
@@ -346,7 +347,7 @@ class QueryEngine:
         if len(order) > 1:
             lines.append("join order (bottom-up): " + " -> ".join(map(str, order)))
         lines.append("physical plan:")
-        lines.append(self.compile(pattern).explain())
+        lines.append(plan.explain())
         return "\n".join(lines)
 
     def explain_analyze(
@@ -372,21 +373,3 @@ class QueryEngine:
         )
         result = plan.run()
         return result, plan.explain(analyze=True)
-
-    # -- internals ------------------------------------------------------------
-
-    def _candidates(
-        self, dec: Decomposition, subtree_index: int, pattern: PatternTree
-    ) -> List[int]:
-        """Index candidates for one NoK subtree root (logical explain)."""
-        subtree = dec.subtrees[subtree_index]
-        root = subtree.root
-        if subtree_index == 0 and pattern.root_axis == CHILD:
-            if root.matches(self.doc.tag_name(0), self.doc.text(0)):
-                return [0]
-            return []
-        if root.tag == "*":
-            return list(range(len(self.doc)))
-        if root.value is not None:
-            return self.index.positions_with_value(root.tag, root.value)
-        return self.index.positions(root.tag)

@@ -127,9 +127,9 @@ class SecuredDocument:
     ):
         """Evaluate a twig query over the current document/labeling pair.
 
-        Compiled through the physical-operator pipeline; the engine (and
-        its tag index) is cached across calls and rebuilt only after a
-        structural edit replaces the document. Accessibility updates
+        Compiled through the physical-operator pipeline; the engine is
+        cached across calls and rebuilt only after a structural edit
+        replaces the document. Accessibility updates
         mutate the shared labeling in place, so the cache survives them.
         """
         return self._query_engine().evaluate(

@@ -24,6 +24,7 @@ Derived navigation (the *next-of-kin* primitives used by NoK matching):
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TreeError
@@ -94,6 +95,8 @@ class Document:
         self.texts = texts
         self.attrs = attrs if attrs is not None else [{} for _ in range(n)]
         self.tag_dict = tag_dict
+        #: the tag index: tag id -> sorted positions, built on first use
+        self._by_tag: Optional[Dict[int, array]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -207,16 +210,26 @@ class Document:
             yield cur
             cur = self.parent[cur]
 
-    def positions_with_tag(self, name: str) -> List[int]:
-        """All document positions whose tag equals ``name`` (linear scan).
+    def positions_with_tag(self, name: str) -> array:
+        """Sorted positions whose tag is ``name`` — the tag index.
 
-        Query evaluation uses the B+-tree tag index instead; this is the
-        straightforward reference implementation used by tests.
+        The first call builds one ``array('q')`` per tag id in a single
+        pass over ``tags`` and memoizes them on this (immutable)
+        document, so every plan reads the index of the document it
+        evaluates. The returned array is shared by all callers and must
+        not be mutated; an absent tag yields a fresh empty array.
         """
-        tag_id = self.tag_dict.get(name)
-        if tag_id is None:
-            return []
-        return [i for i, t in enumerate(self.tags) if t == tag_id]
+        by_tag = self._by_tag
+        if by_tag is None:
+            by_tag = {}
+            for pos, tag_id in enumerate(self.tags):
+                positions = by_tag.get(tag_id)
+                if positions is None:
+                    positions = by_tag[tag_id] = array("q")
+                positions.append(pos)
+            self._by_tag = by_tag
+        positions = by_tag.get(self.tag_dict.get(name))
+        return positions if positions is not None else array("q")
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`TreeError` on damage."""

@@ -14,7 +14,6 @@ ALL_ERRORS = [
     errors.CodebookError,
     errors.StorageError,
     errors.PageFormatError,
-    errors.IndexError_,
     errors.UpdateError,
 ]
 

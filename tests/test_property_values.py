@@ -2,7 +2,9 @@
 
 Random documents with random short texts, queries mixing tag, value, and
 wildcard tests — NoK evaluation and the brute-force oracle must return
-identical answers, securely and not.
+identical answers, securely and not, in memory and over a small-page
+store (where value-rooted candidates also pass ``PageSkipScan`` and
+``RootVerify`` over pages).
 """
 
 import random
@@ -39,6 +41,7 @@ QUERIES = [
     '//n2 = "x"//n1',
     '/n0//n3 = "y"',
     '//n1[n0 = "x"][n2]',
+    '//n1 = ""',
 ]
 
 
@@ -52,23 +55,43 @@ def cases(draw):
     return doc, query, masks
 
 
+def check_plain(case, use_store):
+    doc, query, masks = case
+    pattern = parse_query(query)
+    matrix = AccessMatrix.from_masks(masks, 1) if use_store else None
+    engine = QueryEngine.build(doc, matrix, use_store=use_store, page_size=64)
+    got = set(engine.evaluate(pattern).positions)
+    assert got == evaluate_reference(doc, pattern), query
+
+
+def check_secure(case, use_store):
+    doc, query, masks = case
+    pattern = parse_query(query)
+    matrix = AccessMatrix.from_masks(masks, 1)
+    engine = QueryEngine.build(doc, matrix, use_store=use_store, page_size=64)
+    got = set(engine.evaluate(pattern, subject=0).positions)
+    assert got == evaluate_reference(doc, pattern, masks, 0), query
+
+
 @given(cases())
 @settings(max_examples=150, deadline=None)
 def test_nok_with_values_matches_oracle(case):
-    doc, query, _masks = case
-    pattern = parse_query(query)
-    engine = QueryEngine.build(doc)
-    got = set(engine.evaluate(pattern).positions)
-    want = evaluate_reference(doc, pattern)
-    assert got == want, query
+    check_plain(case, use_store=False)
 
 
 @given(cases())
 @settings(max_examples=100, deadline=None)
 def test_secure_nok_with_values_matches_oracle(case):
-    doc, query, masks = case
-    pattern = parse_query(query)
-    matrix = AccessMatrix.from_masks(masks, 1)
-    engine = QueryEngine.build(doc, matrix)
-    got = set(engine.evaluate(pattern, subject=0).positions)
-    assert got == evaluate_reference(doc, pattern, masks, 0), query
+    check_secure(case, use_store=False)
+
+
+@given(cases())
+@settings(max_examples=100, deadline=None)
+def test_nok_with_values_matches_oracle_over_store(case):
+    check_plain(case, use_store=True)
+
+
+@given(cases())
+@settings(max_examples=100, deadline=None)
+def test_secure_nok_with_values_matches_oracle_over_store(case):
+    check_secure(case, use_store=True)

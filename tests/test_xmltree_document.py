@@ -99,8 +99,8 @@ class TestNavigation:
         assert list(paper_doc.descendants(1)) == []
 
     def test_positions_with_tag(self, small_doc):
-        assert small_doc.positions_with_tag("item") == [1, 4]
-        assert small_doc.positions_with_tag("absent") == []
+        assert list(small_doc.positions_with_tag("item")) == [1, 4]
+        assert list(small_doc.positions_with_tag("absent")) == []
 
 
 class TestValidate:
