@@ -26,6 +26,24 @@ x`` for arbitrary ``x`` — property-tested):
   alphabet, and subtree high words are almost always zero, so most
   words cost one byte.
 
+How a page decodes
+------------------
+A cache miss pays one decode, and it runs as a handful of bulk passes
+in C, not Python work per word or per bit. ``structure-delta`` maps each
+run of one-byte varints to signed deltas with one ``bytes.translate``
+(read as ``array('b')``); a regex finds the rare multi-byte varint, which
+:func:`_read_varint` decodes; the words are the running sums of the
+deltas (``itertools.accumulate``), packed by one ``struct`` call. The
+encoder mirrors it. :func:`columns_from_containers` then slices the
+structural columns out with ``frombytes``, expands the transition bitmap
+to one flag byte per entry through a 256-entry table, and derives the
+transition offsets (``itertools.compress``) and the running code column
+(the flags' running sum indexing ``first_code`` and the transition
+codes) from those flags. On the benchmark document (73 pages of ~600
+entries, a 2-vCPU Xeon @ 2.10 GHz, CPython 3.11) that is ~0.26 ms a
+page, against ~1.3-2 ms for the per-varint decoder it replaced; the
+pages and their bytes did not change.
+
 A compressed page (format v3) keeps the v2 :class:`PageHeader` and CRC
 trailer exactly where they were::
 
@@ -53,12 +71,15 @@ signal and the store falls back to a full re-pack at a lower density.
 
 from __future__ import annotations
 
+import operator
+import re
 import struct
 import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import accumulate, chain, compress, repeat
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import PageFormatError, StorageError
 from repro.storage.encoding import ENTRY_SIZE, FLAG_TRANSITION, NodeEntry
@@ -119,46 +140,83 @@ def _unzigzag(value: int) -> int:
 # -- container codecs ----------------------------------------------------------
 
 
+#: one-byte varint (zigzag 0x00-0x7F) -> its signed delta as a byte;
+#: the upper half is never looked up (those bytes start multi-byte varints)
+_UNZIGZAG_BYTE = bytes(_unzigzag(v) & 0xFF for v in range(0x80)) + bytes(0x80)
+#: signed delta in [-64, 63] -> its one-byte zigzag varint
+_ZIGZAG_BYTE = {d: _zigzag(d) for d in range(-64, 64)}
+#: a byte with the continuation bit: the start of a multi-byte varint
+_MULTI_BYTE = re.compile(rb"[\x80-\xff]")
+
+
 def _delta_encode(raw: bytes) -> bytes:
     """Zigzag-delta varint coding of the u16 word stream of ``raw``.
 
     Total on arbitrary bytes: the leading varint records the raw length,
-    and an odd trailing byte rides along verbatim.
+    and an odd trailing byte rides along verbatim. Deltas in [-64, 63]
+    map to their one-byte varint in one pass; the rare larger delta
+    (marked 0x80 by that pass) is written by :func:`_write_varint`.
     """
     raw = bytes(raw)
     out = bytearray()
     _write_varint(out, len(raw))
-    n_words = len(raw) // 2
-    prev = 0
-    for i in range(n_words):
-        word = raw[2 * i] | (raw[2 * i + 1] << 8)
-        _write_varint(out, _zigzag(word - prev))
-        prev = word
+    words = array("H", raw[: len(raw) & ~1])
+    if _BIG_ENDIAN:
+        words.byteswap()
+    deltas = map(operator.sub, words, chain((0,), words))
+    small = bytes(map(_ZIGZAG_BYTE.get, deltas, repeat(0x80)))
+    if small.isascii():
+        out += small
+    else:
+        start = 0
+        for match in _MULTI_BYTE.finditer(small):
+            i = match.start()
+            out += small[start:i]
+            _write_varint(out, _zigzag(words[i] - (words[i - 1] if i else 0)))
+            start = i + 1
+        out += small[start:]
     if len(raw) & 1:
         out.append(raw[-1])
     return bytes(out)
 
 
 def _delta_decode(blob: bytes) -> bytes:
+    """Invert :func:`_delta_encode`.
+
+    Each run of one-byte varints becomes signed deltas in one
+    ``translate``; a regex finds the next multi-byte varint, which
+    :func:`_read_varint` decodes (and rejects when unterminated). The
+    words are the running sums of the deltas, packed in one pass.
+    """
+    blob = bytes(blob)
     raw_len, offset = _read_varint(blob, 0)
-    out = bytearray()
     n_words = raw_len // 2
-    prev = 0
-    for _ in range(n_words):
-        delta, offset = _read_varint(blob, offset)
-        prev = prev + _unzigzag(delta)
-        if not 0 <= prev <= 0xFFFF:
-            raise PageFormatError("structure-delta word out of u16 range")
-        out.append(prev & 0xFF)
-        out.append(prev >> 8)
+    end = len(blob)
+    if n_words > end - offset:  # every word takes at least one byte
+        raise PageFormatError("truncated varint in structure-delta blob")
+    runs: List[Iterable[int]] = []
+    left = n_words
+    while left:
+        stop = min(offset + left, end)
+        if not blob[offset:stop].isascii():
+            stop = _MULTI_BYTE.search(blob, offset, stop).start()
+        if stop > offset:
+            runs.append(array("b", blob[offset:stop].translate(_UNZIGZAG_BYTE)))
+            left -= stop - offset
+            offset = stop
+        if left:
+            delta, offset = _read_varint(blob, offset)
+            runs.append((_unzigzag(delta),))
+            left -= 1
+    try:
+        out = struct.pack(f"<{n_words}H", *accumulate(chain.from_iterable(runs)))
+    except struct.error:
+        raise PageFormatError("structure-delta word out of u16 range") from None
     if raw_len & 1:
-        if offset >= len(blob):
+        if offset >= end:
             raise PageFormatError("structure-delta blob missing trailing byte")
-        out.append(blob[offset])
-        offset += 1
-    if len(out) != raw_len:
-        raise PageFormatError("structure-delta blob length mismatch")
-    return bytes(out)
+        out += blob[offset : offset + 1]
+    return out
 
 
 def encode_container(codec_id: int, raw: bytes) -> bytes:
@@ -273,6 +331,23 @@ def entries_from_containers(
 # -- columnar decoded pages ----------------------------------------------------
 
 
+#: bitmap byte -> its eight transition flags as 0/1 bytes, low bit first
+_BITS = tuple(bytes(byte >> bit & 1 for bit in range(8)) for byte in range(256))
+#: bitmap byte -> its number of set bits
+_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
+
+
+def _running_codes(first_code: int, trans_codes: array, flags: bytes) -> array:
+    """Code in effect at each offset: ``flags`` (one 0/1 byte per entry)
+    counted up to an offset indexes ``first_code`` then the transition
+    codes in order. Packed through ``struct``: building an ``array``
+    from an iterator converts item by item at about twice the cost."""
+    in_effect = [first_code]
+    in_effect += trans_codes
+    codes = map(in_effect.__getitem__, accumulate(flags))
+    return array("H", struct.pack(f"{len(flags)}H", *codes))
+
+
 class PageColumns:
     """Struct-of-arrays decode of one page — the cached form.
 
@@ -281,6 +356,14 @@ class PageColumns:
     record (``trans_offsets`` as ``array('q')``, ``trans_codes`` as
     ``array('H')``) and the precomputed *running* access code per offset
     (``codes``, ``array('H')`` — what :meth:`access_code_at` reads).
+
+    Every column is built by bulk passes over the decoded containers:
+    the structural columns are ``frombytes`` slices, the transition
+    bitmap expands to one 0/1 flag byte per entry through a 256-entry
+    table, ``trans_offsets`` is ``compress(range(n), flags)`` and
+    ``codes`` indexes ``(first_code, *trans_codes)`` by the running sum
+    of the flags. A set padding bit past ``n`` still owns a code slot in
+    ``trans_codes`` but no offset.
 
     Operators and page cursors read the columns directly. The
     row-shaped :class:`NodeEntry` form is built on request
@@ -306,30 +389,18 @@ class PageColumns:
         tags: array,
         depths: array,
         subtrees: array,
-        trans_offsets: array,
         trans_codes: array,
+        flags: bytes,
     ):
+        n = len(tags)
         self.header = header
-        self.n = len(tags)
+        self.n = n
         self.tags = tags
         self.depths = depths
         self.subtrees = subtrees
-        self.trans_offsets = trans_offsets
+        self.trans_offsets = array("q", compress(range(n), flags))
         self.trans_codes = trans_codes
-        self.codes = self._running_codes(header.first_code)
-
-    def _running_codes(self, first_code: int) -> array:
-        """Code in effect at each offset: segments between transitions."""
-        flat: List[int] = []
-        current = first_code
-        prev = 0
-        for off, code in zip(self.trans_offsets, self.trans_codes):
-            if off > prev:
-                flat.extend([current] * (off - prev))
-            current = code
-            prev = off
-        flat.extend([current] * (self.n - prev))
-        return array("H", flat)
+        self.codes = _running_codes(header.first_code, trans_codes, flags)
 
     @property
     def nbytes(self) -> int:
@@ -340,6 +411,25 @@ class PageColumns:
             col = getattr(self, name)
             total += len(col) * col.itemsize
         return total
+
+    def implied_header(self) -> PageHeader:
+        """The header the page body implies.
+
+        The first entry of every page is a pseudo-transition carrying the
+        running code, so it defines ``first_code``; the change bit must be
+        set iff any *other* entry is a transition. The integrity checks
+        (``NoKStore.verify``, ``fsck_store``, reopen) compare it with the
+        stored header to detect one that went stale against its body.
+        """
+        toffs = self.trans_offsets
+        if not self.n:
+            return PageHeader(0, False, 0)
+        first_is_transition = bool(toffs) and toffs[0] == 0
+        return PageHeader(
+            self.trans_codes[0] if first_is_transition else 0,
+            len(toffs) > first_is_transition,
+            self.n,
+        )
 
     def is_transition(self, offset: int) -> bool:
         toffs = self.trans_offsets
@@ -373,22 +463,6 @@ class PageColumns:
         )
 
 
-def _transition_offsets(bitmap: bytes, n: int) -> array:
-    """Set-bit offsets of a transition bitmap, skipping zero bytes."""
-    offsets = array("q")
-    for byte_idx, byte in enumerate(bitmap):
-        if not byte:
-            continue
-        base = byte_idx * 8
-        while byte:
-            low = byte & -byte
-            offset = base + low.bit_length() - 1
-            if offset < n:
-                offsets.append(offset)
-            byte ^= low
-    return offsets
-
-
 def columns_from_containers(
     header: PageHeader, structure: bytes, codes: bytes
 ) -> PageColumns:
@@ -415,11 +489,9 @@ def columns_from_containers(
     if len(codes) < bitmap_len:
         raise PageFormatError("codes container shorter than its bitmap")
     bitmap = codes[:bitmap_len]
-    trans_offsets = _transition_offsets(bitmap, n)
     # The expected length counts every set bit (padding bits included),
     # exactly as the entry-at-a-time decoder does.
-    n_transitions = sum(bin(b).count("1") for b in bitmap)
-    expected = bitmap_len + 2 * n_transitions
+    expected = bitmap_len + 2 * sum(bitmap.translate(_POPCOUNT))
     if len(codes) != expected:
         raise PageFormatError(
             f"codes container holds {len(codes)} bytes, bitmap implies {expected}"
@@ -431,7 +503,8 @@ def columns_from_containers(
         depths.byteswap()
         subtrees.byteswap()
         trans_codes.byteswap()
-    return PageColumns(header, tags, depths, subtrees, trans_offsets, trans_codes)
+    flags = b"".join(map(_BITS.__getitem__, bitmap))[:n]
+    return PageColumns(header, tags, depths, subtrees, trans_codes, flags)
 
 
 # -- page formats --------------------------------------------------------------
@@ -498,18 +571,12 @@ class PlainPageFormat:
         depths = words[1::6]
         sub_lo = words[2::6]
         sub_hi = words[3::6]
-        code_col = words[4::6]
-        flag_col = words[5::6]
+        # the flags byte is the low half of the sixth word; bit 0 marks
+        # a transition, so masking it leaves one 0/1 flag per entry
+        flags = bytes(map(FLAG_TRANSITION.__and__, words[5::6]))
         subtrees = array("I", (lo | (hi << 16) for lo, hi in zip(sub_lo, sub_hi)))
-        trans_offsets = array("q")
-        trans_codes = array("H")
-        for i, flags in enumerate(flag_col):
-            if flags & FLAG_TRANSITION:
-                trans_offsets.append(i)
-                trans_codes.append(code_col[i])
-        return PageColumns(
-            header, tags, depths, subtrees, trans_offsets, trans_codes
-        )
+        trans_codes = array("H", compress(words[4::6], flags))
+        return PageColumns(header, tags, depths, subtrees, trans_codes, flags)
 
     def container_report(self, data) -> Dict[str, Dict[str, int]]:
         """Physical vs logical container bytes of one stored page."""

@@ -39,21 +39,6 @@ class PageHeader:
         first_code, change, n_entries = HEADER_STRUCT.unpack_from(data, 0)
         return cls(first_code, bool(change), n_entries)
 
-    @classmethod
-    def expected_for(cls, entries) -> "PageHeader":
-        """The header a page's entries imply.
-
-        The first entry of every page is a pseudo-transition carrying the
-        running code, so it defines ``first_code``; the change bit must be
-        set iff any *other* entry is a transition. Used by the integrity
-        checks (``NoKStore.verify``, ``fsck_store``, reopen) to detect a
-        stored header that went stale relative to the page body.
-        """
-        if not entries:
-            return cls(0, False, 0)
-        change = any(entry.is_transition for entry in entries[1:])
-        return cls(entries[0].code, change, len(entries))
-
 
 class PageHeaderTable:
     """The in-memory mirror of every page's access control header."""

@@ -654,7 +654,7 @@ class NoKStore(PageNavigation, PageAccess):
             decoded = self._decode(data)
             entries = decoded.entries
             header = self.headers.get(page_id)
-            expected = PageHeader.expected_for(entries)
+            expected = decoded.implied_header()
             if header != expected:
                 raise StorageError(
                     f"page {page_id}: header drift (table {header}, page implies {expected})"

@@ -227,8 +227,6 @@ def open_store(
         tags: List[int] = []
         depth: List[int] = []
         subtree: List[int] = []
-        parent: List[int] = []
-        stack: List[int] = []  # positions of open ancestors
         headers = PageHeaderTable()
         positions: List[int] = []
         codes: List[int] = []
@@ -236,32 +234,35 @@ def open_store(
 
         pos = 0
         for page_id in range(n_pages):
-            data = pager.read_page_view(page_id)
-            header, entries = page_format.decode_page(data)
-            expected = PageHeader.expected_for(entries)
+            columns = page_format.decode_page_columns(pager.read_page_view(page_id))
+            header = columns.header
+            expected = columns.implied_header()
             if header != expected:
                 raise StorageError(
                     f"page {page_id}: stored header {header} disagrees with "
                     f"its entries (implied {expected})"
                 )
             headers.append(header)
-            for entry in entries:
-                tags.append(entry.tag_id)
-                depth.append(entry.depth)
-                subtree.append(entry.subtree)
-                while len(stack) > entry.depth:
-                    stack.pop()
-                parent.append(stack[-1] if stack else NO_NODE)
-                stack.append(pos)
-                if entry.is_transition and entry.code != running_code:
-                    positions.append(pos)
-                    codes.append(entry.code)
-                    running_code = entry.code
-                pos += 1
+            tags.extend(columns.tags)
+            depth.extend(columns.depths)
+            subtree.extend(columns.subtrees)
+            for offset, code in zip(columns.trans_offsets, columns.trans_codes):
+                if code != running_code:
+                    positions.append(pos + offset)
+                    codes.append(code)
+                    running_code = code
+            pos += columns.n
         if pos != n_nodes:
             raise StorageError(
                 f"pages hold {pos} entries but the catalog records {n_nodes}"
             )
+
+        parent: List[int] = []
+        stack: List[int] = []  # positions of open ancestors
+        for node_pos, node_depth in enumerate(depth):
+            del stack[node_depth:]
+            parent.append(stack[-1] if stack else NO_NODE)
+            stack.append(node_pos)
 
         doc = Document(tags, parent, subtree, depth, texts, tag_dict)
         doc.validate()
@@ -416,7 +417,7 @@ def fsck_report(path: str, catalog_path: str = None) -> Dict[str, object]:
                 unreadable_pages += 1
                 continue
             try:
-                _header, entries = page_format.decode_page(data)
+                columns = page_format.decode_page_columns(data)
                 per_container = page_format.container_report(data)
             except PageFormatError as exc:
                 finding(
@@ -433,15 +434,15 @@ def fsck_report(path: str, catalog_path: str = None) -> Dict[str, object]:
                 totals["logical_bytes"] += sizes["logical"]
                 if sizes["codec"] not in totals["codecs"]:
                     totals["codecs"].append(sizes["codec"])
-            for index, entry in enumerate(entries):
-                if entry.is_transition and entry.code >= max(n_codes, 1):
+            for index, code in zip(columns.trans_offsets, columns.trans_codes):
+                if code >= max(n_codes, 1):
                     finding(
                         "entry",
                         f"page {page_id} entry {index}: transition code "
-                        f"{entry.code} outside the codebook ({n_codes} codes)",
+                        f"{code} outside the codebook ({n_codes} codes)",
                         page=page_id,
                     )
-            expected = PageHeader.expected_for(entries)
+            expected = columns.implied_header()
             if header != expected:
                 finding(
                     "header",
@@ -449,7 +450,7 @@ def fsck_report(path: str, catalog_path: str = None) -> Dict[str, object]:
                     f"its entries (implied {expected})",
                     page=page_id,
                 )
-            total_entries += len(entries)
+            total_entries += columns.n
     report["checked_pages"] = n_pages
     report["logical_bytes"] = sum(
         totals["logical_bytes"] for totals in container_totals.values()

@@ -9,6 +9,7 @@ corrupts pages.
 """
 
 import os
+import struct
 from array import array
 
 import pytest
@@ -28,7 +29,12 @@ from repro.storage.codecs import (
     CompressedPageFormat,
     PageColumns,
     PlainPageFormat,
+    _read_varint,
+    _unzigzag,
+    _write_varint,
+    _zigzag,
     codes_container,
+    columns_from_containers,
     decode_container,
     encode_container,
     entries_from_containers,
@@ -88,12 +94,241 @@ def test_corrupt_zlib_blob_raises():
 
 def test_delta_compresses_slowly_varying_words():
     """The structural columns the coder is built for: small deltas."""
-    import struct
-
     words = list(range(100, 400))  # delta 1 per word -> ~1 byte per word
     raw = struct.pack(f"<{len(words)}H", *words)
     blob = encode_container(CODEC_DELTA, raw)
     assert len(blob) <= len(raw) // 2 + 8
+
+
+# -- structure-delta: bulk passes against the per-varint reference ---------------
+#
+# The codec's decode and encode run as a few bulk passes (translate, regex,
+# accumulate, struct). The per-word coder they replaced is kept here as the
+# reference: wherever it returns, the bulk coder returns the same bytes;
+# wherever it raises, the bulk decoder raises PageFormatError and nothing
+# else.
+
+
+def _reference_delta_encode(raw):
+    raw = bytes(raw)
+    out = bytearray()
+    _write_varint(out, len(raw))
+    prev = 0
+    for i in range(len(raw) // 2):
+        word = raw[2 * i] | (raw[2 * i + 1] << 8)
+        _write_varint(out, _zigzag(word - prev))
+        prev = word
+    if len(raw) & 1:
+        out.append(raw[-1])
+    return bytes(out)
+
+
+def _reference_delta_decode(blob):
+    raw_len, offset = _read_varint(blob, 0)
+    out = bytearray()
+    prev = 0
+    for _ in range(raw_len // 2):
+        delta, offset = _read_varint(blob, offset)
+        prev = prev + _unzigzag(delta)
+        if not 0 <= prev <= 0xFFFF:
+            raise PageFormatError("structure-delta word out of u16 range")
+        out.append(prev & 0xFF)
+        out.append(prev >> 8)
+    if raw_len & 1:
+        if offset >= len(blob):
+            raise PageFormatError("structure-delta blob missing trailing byte")
+        out.append(blob[offset])
+    return bytes(out)
+
+
+def _assert_decoders_agree(blob):
+    try:
+        expected = _reference_delta_decode(blob)
+    except PageFormatError:
+        with pytest.raises(PageFormatError):
+            decode_container(CODEC_DELTA, blob)
+        return
+    assert decode_container(CODEC_DELTA, blob) == expected
+
+
+@st.composite
+def word_streams(draw):
+    """Raw container bytes shaped like a structure column: mostly small
+    word deltas, some large jumps, sometimes an odd trailing byte."""
+    deltas = draw(
+        st.lists(
+            st.one_of(
+                st.integers(-64, 63),
+                st.integers(-0xFFFF, 0xFFFF),
+            ),
+            max_size=300,
+        )
+    )
+    word, words = draw(st.integers(0, 0xFFFF)), []
+    for delta in deltas:
+        word = (word + delta) & 0xFFFF
+        words.append(word)
+    raw = struct.pack(f"<{len(words)}H", *words)
+    if draw(st.booleans()):
+        raw += bytes([draw(st.integers(0, 0xFF))])
+    return raw
+
+
+raw_containers = st.one_of(st.binary(max_size=600), word_streams())
+
+
+@given(blob=st.binary(max_size=600))
+@settings(max_examples=300, deadline=None)
+def test_delta_decode_matches_reference_on_arbitrary_bytes(blob):
+    _assert_decoders_agree(blob)
+
+
+@given(raw=raw_containers, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_delta_decode_matches_reference_on_damaged_encodings(raw, data):
+    blob = bytearray(_reference_delta_encode(raw))
+    damage = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if damage == "flip":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob[i] ^= data.draw(st.integers(1, 0xFF))
+    elif damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=8))
+    _assert_decoders_agree(bytes(blob))
+
+
+@given(raw=raw_containers)
+@settings(max_examples=300, deadline=None)
+def test_delta_encode_matches_reference(raw):
+    blob = encode_container(CODEC_DELTA, raw)
+    assert blob == _reference_delta_encode(raw)
+    assert decode_container(CODEC_DELTA, blob) == raw
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b"\x04\x02\x80", id="unterminated-continuation-at-end"),
+        pytest.param(b"\x04\x02\x80\x80", id="unterminated-continuation-run"),
+        pytest.param(
+            _reference_delta_encode(struct.pack("<H", 1000) + b"\x7f"),
+            id="multi-byte-varint-before-trailing-byte",
+        ),
+        pytest.param(
+            _reference_delta_encode(b"\x01\x00\xff"), id="trailing-byte-high-bit"
+        ),
+        pytest.param(b"\x03\x02", id="missing-trailing-byte"),
+        pytest.param(b"\x02\x01", id="word-below-zero"),
+        pytest.param(
+            _reference_delta_encode(struct.pack("<H", 0xFFFF)) + b"\x02",
+            id="trailing-garbage-ignored",
+        ),
+        pytest.param(b"\x04\xfe\xff\x07\x02", id="word-above-0xffff"),
+        pytest.param(b"\x02" + b"\xff" * 10 + b"\x01", id="varint-overflow"),
+        pytest.param(b"\xff" * 9 + b"\x7f", id="huge-raw-length"),
+    ],
+)
+def test_delta_decode_edges_match_reference(blob):
+    _assert_decoders_agree(blob)
+
+
+def test_delta_decode_rejects_words_leaving_u16_range():
+    with pytest.raises(PageFormatError, match="u16 range"):
+        decode_container(CODEC_DELTA, b"\x02\x01")  # 0 - 1
+    with pytest.raises(PageFormatError, match="u16 range"):
+        decode_container(CODEC_DELTA, b"\x04\xfe\xff\x07\x02")  # 0xFFFF + 1
+
+
+def test_delta_decode_rejects_unterminated_continuation():
+    with pytest.raises(PageFormatError, match="truncated varint"):
+        decode_container(CODEC_DELTA, b"\x04\x02\x80")
+
+
+# -- columnar page build against the per-bit reference --------------------------
+
+
+def _reference_transition_offsets(bitmap, n):
+    offsets = array("q")
+    for byte_idx, byte in enumerate(bitmap):
+        for bit in range(8):
+            offset = byte_idx * 8 + bit
+            if byte >> bit & 1 and offset < n:
+                offsets.append(offset)
+    return offsets
+
+
+def _reference_running_codes(first_code, trans_offsets, trans_codes, n):
+    flat = []
+    current = first_code
+    prev = 0
+    for off, code in zip(trans_offsets, trans_codes):
+        flat.extend([current] * (off - prev))
+        current = code
+        prev = off
+    flat.extend([current] * (n - prev))
+    return array("H", flat)
+
+
+def _reference_implied_header(entries):
+    if not entries:
+        return PageHeader(0, False, 0)
+    change = any(entry.is_transition for entry in entries[1:])
+    return PageHeader(entries[0].code, change, len(entries))
+
+
+@st.composite
+def column_containers(draw):
+    """(header, structure, codes) with padding bits and, sometimes, a codes
+    container whose length disagrees with its bitmap."""
+    n = draw(st.integers(0, 100))
+    bitmap = draw(st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8))
+    n_codes = sum(bin(b).count("1") for b in bitmap)
+    n_codes += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    n_codes = max(n_codes, 0)
+    codes = draw(st.lists(st.integers(0, 0xFFFF), min_size=n_codes, max_size=n_codes))
+    structure = draw(st.binary(min_size=8 * n, max_size=8 * n))
+    header = PageHeader(
+        first_code=draw(st.integers(0, 0xFFFF)),
+        change_bit=draw(st.booleans()),
+        n_entries=n,
+    )
+    return header, structure, bitmap + struct.pack(f"<{len(codes)}H", *codes)
+
+
+@given(containers=column_containers())
+@settings(max_examples=300, deadline=None)
+def test_columns_match_per_bit_reference(containers):
+    header, structure, codes = containers
+    n = header.n_entries
+    try:
+        ref_entries = entries_from_containers(n, structure, codes)
+    except PageFormatError as exc:
+        with pytest.raises(PageFormatError) as excinfo:
+            columns_from_containers(header, structure, codes)
+        assert str(excinfo.value) == str(exc)
+        return
+    cols = columns_from_containers(header, structure, codes)
+    bitmap = codes[: (n + 7) // 8]
+    ref_offsets = _reference_transition_offsets(bitmap, n)
+    ref_trans_codes = array("H", codes[(n + 7) // 8 :])
+    ref_codes = _reference_running_codes(
+        header.first_code, ref_offsets, ref_trans_codes, n
+    )
+    assert cols.trans_offsets == ref_offsets
+    assert cols.trans_codes == ref_trans_codes
+    assert cols.codes == ref_codes
+    assert [col.typecode for col in (cols.tags, cols.depths, cols.subtrees)] == [
+        "H", "H", "I",
+    ]
+    assert (cols.trans_offsets.typecode, cols.trans_codes.typecode,
+            cols.codes.typecode) == ("q", "H", "H")
+    assert cols.nbytes == (
+        2 * n + 2 * n + 4 * n + 8 * len(ref_offsets) + 2 * len(ref_trans_codes)
+        + 2 * n
+    )
+    assert list(cols.entries) == ref_entries
+    assert cols.implied_header() == _reference_implied_header(ref_entries)
 
 
 # -- entry containers ----------------------------------------------------------

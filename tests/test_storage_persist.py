@@ -161,6 +161,42 @@ class TestCodecRoundTrip:
                         subject, pos
                     )
 
+    def test_reopen_rebuilds_arrays_and_transitions_exactly(
+        self, saved_compressed
+    ):
+        path, doc, dol, _codec = saved_compressed
+        with open_store(path) as store:
+            assert store.doc.tags == doc.tags
+            assert store.doc.depth == doc.depth
+            assert store.doc.subtree == doc.subtree
+            assert store.doc.parent == doc.parent
+            assert store.labeling.positions == dol.positions
+            assert store.labeling.codes == dol.codes
+
+    @pytest.mark.parametrize("field", ["first_code", "change_bit"])
+    def test_stale_header_fails_open_and_fsck(self, saved_compressed, field):
+        """A page header re-stamped without its body must fail the reopen
+        and show in fsck: the check reads the decoded columns."""
+        from repro.storage.headers import HEADER_STRUCT
+        from repro.storage.pager import stamp_page
+        from repro.storage.persist import fsck_store
+
+        path, _doc, _dol, _codec = saved_compressed
+        with open(path, "r+b") as handle:
+            page = bytearray(handle.read(512))
+            first_code, change, n_entries = HEADER_STRUCT.unpack_from(page, 0)
+            if field == "first_code":
+                first_code ^= 1
+            else:
+                change ^= 1
+            HEADER_STRUCT.pack_into(page, 0, first_code, change, n_entries)
+            handle.seek(0)
+            handle.write(stamp_page(bytes(page)))
+        with pytest.raises(StorageError, match="page 0: stored header"):
+            open_store(path)
+        findings = fsck_store(path)
+        assert any("page 0: stored header" in f for f in findings)
+
     def test_updates_after_reopen_persist(self, saved_compressed):
         path, _doc, _dol, _codec = saved_compressed
         store = open_store(path)
