@@ -19,7 +19,6 @@ from repro.exec.operators import (
     Operator,
     PageSkipScan,
     Project,
-    RootVerify,
     STDJoin,
     StaticEmpty,
     TagIndexScan,
@@ -41,7 +40,6 @@ __all__ = [
     "Project",
     "QueryResult",
     "ResultCache",
-    "RootVerify",
     "STDJoin",
     "StaticEmpty",
     "TagIndexScan",

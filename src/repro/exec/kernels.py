@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
     "StdlibKernels",
@@ -79,14 +79,6 @@ class StdlibKernels:
             i = j
         return out
 
-    def take_eq(
-        self, positions: array, values: Sequence[int], target: int, base: int = 0
-    ) -> array:
-        """Positions whose ``values[pos - base]`` equals ``target``."""
-        return array(
-            "q", [pos for pos in positions if values[pos - base] == target]
-        )
-
     def join_ranges(
         self, anchors: array, ends: array, haystack: array
     ) -> Tuple[List[int], List[int]]:
@@ -102,9 +94,6 @@ class StdlibKernels:
             los.append(lo)
             his.append(bisect_left(haystack, end, lo))
         return los, his
-
-
-_STDLIB = StdlibKernels()
 
 
 class NumpyKernels:
@@ -138,23 +127,6 @@ class NumpyKernels:
         idx = np.searchsorted(self._as_i64(starts), pos, side="right") - 1
         np.maximum(idx, 0, out=idx)
         keep = np.frombuffer(flags, dtype=np.uint8)[idx] != 0
-        out.frombytes(pos[keep].tobytes())
-        return out
-
-    def take_eq(
-        self, positions: array, values: Sequence[int], target: int, base: int = 0
-    ) -> array:
-        np = self._np
-        out = array("q")
-        if len(positions) == 0:
-            return out
-        if isinstance(values, array) and values.typecode in ("H", "I", "q", "Q"):
-            vals = np.frombuffer(values, dtype=np.dtype(values.typecode))
-        else:
-            # non-buffer value sequences (plain lists) take the stdlib path
-            return _STDLIB.take_eq(positions, values, target, base)
-        pos = self._as_i64(positions)
-        keep = vals[pos - base] == target
         out.frombytes(pos[keep].tobytes())
         return out
 

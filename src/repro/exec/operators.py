@@ -11,8 +11,8 @@ and the two clock reads of instrumentation over the whole batch.
 Batch types are uniform per plan edge:
 
 - scan-level operators (:class:`TagIndexScan`, :class:`PageSkipScan`,
-  :class:`RootVerify`, :class:`AccessFilter`) produce sorted
-  ``array('q')`` batches of candidate document positions;
+  :class:`AccessFilter`) produce sorted ``array('q')`` batches of
+  candidate document positions;
   :class:`TagIndexScan` emits them with doubling sizes (32 up to 1024),
   so a ``Limit`` still touches only a prefix of the candidates;
 - :class:`NPMMatch` turns candidate batches into binding batches: a
@@ -25,9 +25,8 @@ Batch types are uniform per plan edge:
 
 :class:`AccessFilter` intersects whole batches against the query's
 decoded accessibility run list (:meth:`~repro.exec.context.ExecutionContext.run_list`) through the
-active array kernel (:mod:`repro.exec.kernels`); :class:`RootVerify` and
-:class:`STDJoin` use the same kernels over page tag columns and sorted
-position arrays.
+active array kernel (:mod:`repro.exec.kernels`); :class:`STDJoin` uses
+the same kernels over sorted position arrays.
 
 Every operator records :class:`~repro.exec.context.OperatorStats`
 (``rows_out`` counts rows, ``extra['batches']`` the batches that carried
@@ -186,22 +185,33 @@ class StaticEmpty(Operator):
 def root_candidates(
     doc: Document, pnode: PatternNode, anchored: bool = False
 ) -> "range | array":
-    """Sorted candidate positions for a NoK subtree root over ``doc``.
+    """Sorted positions passing a NoK subtree root's node test over ``doc``.
 
-    ``anchored`` marks the query root under a ``/`` root axis: the only
-    candidate is position 0, if it passes the tag test. A wildcard root
-    takes every position; otherwise the document's tag index answers,
-    filtered to the nodes whose text equals the root's value test.
+    This is the whole root test — tag, value and attribute tests — and
+    it reads only the document the plan evaluates (a store-backed plan's
+    snapshot document, which its pages were rendered from), so no plan
+    reads a page to check a root. ``anchored`` marks the query root
+    under a ``/`` root axis: the only candidate is position 0. The tag
+    index narrows a named tag; a wildcard starts from every position.
     """
     if anchored:
-        return array("q", (0,) if pnode.matches(doc.tag_name(0), doc.text(0)) else ())
-    if pnode.tag == "*":
-        return range(len(doc))
-    positions = doc.positions_with_tag(pnode.tag)
-    if pnode.value is not None:
-        texts, value = doc.texts, pnode.value
-        positions = array("q", [pos for pos in positions if texts[pos] == value])
-    return positions
+        positions = range(1 if pnode.tag in ("*", doc.tag_name(0)) else 0)
+    elif pnode.tag == "*":
+        positions = range(len(doc))
+    else:
+        positions = doc.positions_with_tag(pnode.tag)
+    value = pnode.value
+    if value is None and not pnode.attr_tests:
+        return positions
+    texts, attrs_of, matches_attrs = doc.texts, doc.attrs_of, pnode.matches_attrs
+    return array(
+        "q",
+        [
+            pos
+            for pos in positions
+            if (value is None or texts[pos] == value) and matches_attrs(attrs_of(pos))
+        ],
+    )
 
 
 class TagIndexScan(Operator):
@@ -209,9 +219,10 @@ class TagIndexScan(Operator):
 
     The candidates are :func:`root_candidates` over the context's
     document — the snapshot's, so the index always matches what the
-    plan reads. They leave as ``array('q')`` batches (slices of the tag
-    index's array) with doubling sizes; every emitted candidate is
-    counted in ``EvalStats.candidates``.
+    plan reads — and so have passed the root's whole node test. They
+    leave as ``array('q')`` batches (slices of the tag index's array)
+    with doubling sizes; every emitted candidate is counted in
+    ``EvalStats.candidates``.
     """
 
     name = "TagIndexScan"
@@ -224,13 +235,13 @@ class TagIndexScan(Operator):
     def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
         stats = ctx.stats
         positions = root_candidates(ctx.doc, self.pnode, self.anchored)
-        wildcard = isinstance(positions, range)
+        ranged = isinstance(positions, range)
         total = len(positions)
         start = 0
         size = MIN_BATCH_SIZE
         while start < total:
             batch = positions[start : start + size]
-            if wildcard:
+            if ranged:
                 batch = array("q", batch)
             stats.candidates += len(batch)
             start += len(batch)
@@ -255,9 +266,9 @@ class PageSkipScan(Operator):
     plan runs over a :class:`~repro.storage.nokstore.NoKStore`.
 
     Candidate batches arrive sorted, so each batch splits into runs of
-    positions sharing a page; the quarantine (degraded mode) and header
-    tests run once per group, header verdicts additionally memoized for
-    the query.
+    positions sharing a page; the header test runs once per group, its
+    verdict memoized for the query. A quarantined page needs no branch
+    here: the store refuses it to whichever operator actually reads it.
     """
 
     name = "PageSkipScan"
@@ -272,132 +283,21 @@ class PageSkipScan(Operator):
             while i < n:
                 page_id = batch[i] // entries_per_page
                 j = bisect_left(batch, (page_id + 1) * entries_per_page, i)
-                count = j - i
-                if not ctx.strict and page_id in store.quarantined:
-                    stats.candidates_skipped_corrupt += count
-                    self.stats.bump("skipped_corrupt", count)
+                skip = header_skips.get(page_id)
+                if skip is None:
+                    skip = store.page_fully_inaccessible_any(page_id, subjects)
+                    header_skips[page_id] = skip
+                if skip:
+                    stats.candidates_skipped_by_header += j - i
+                    self.stats.bump("skipped", j - i)
                 else:
-                    skip = header_skips.get(page_id)
-                    if skip is None:
-                        skip = store.page_fully_inaccessible_any(page_id, subjects)
-                        header_skips[page_id] = skip
-                    if skip:
-                        stats.candidates_skipped_by_header += count
-                        self.stats.bump("skipped", count)
-                    else:
-                        out.extend(batch[i:j])
+                    out.extend(batch[i:j])
                 i = j
             if out:
                 yield out
 
     def describe(self) -> str:
         return "header table"
-
-
-class RootVerify(Operator):
-    """Verify candidates against the data source itself.
-
-    The index only supplied a position; re-checking the tag/value and
-    attribute tests against the source loads the candidate's page —
-    exactly the read a NoK evaluator performs before matching can start.
-
-    In memory the common case (tag test only) is a straight comparison
-    against the document's tag-id array. Over a store each page group
-    costs one decoded-page fetch, and the tag test reads the page's
-    columnar tag array directly — no :class:`NodeEntry` objects. A
-    corrupt page drops its whole group (reported through the usual
-    degradation path).
-    """
-
-    name = "RootVerify"
-
-    def __init__(self, child: Operator, pnode: PatternNode):
-        super().__init__(child)
-        self.pnode = pnode
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[array]:
-        pnode = self.pnode
-        simple = pnode.value is None and not pnode.attr_tests
-        if ctx.store is None:
-            yield from self._verify_memory(ctx, simple)
-        else:
-            yield from self._verify_store(ctx, simple)
-
-    def _verify_memory(self, ctx: ExecutionContext, simple: bool) -> Iterator[array]:
-        pnode, doc = self.pnode, ctx.doc
-        if simple and pnode.tag == "*":
-            yield from self.child.execute(ctx)
-            return
-        if simple:
-            tag_id = doc.tag_dict.get(pnode.tag)
-            tags = doc.tags
-            for batch in self.child.execute(ctx):
-                kept = array("q", [pos for pos in batch if tags[pos] == tag_id])
-                if kept:
-                    yield kept
-            return
-        for batch in self.child.execute(ctx):
-            kept = array("q")
-            for pos in batch:
-                if not pnode.matches(doc.tag_name(pos), doc.text(pos)):
-                    continue
-                if pnode.attr_tests and not pnode.matches_attrs(doc.attrs_of(pos)):
-                    continue
-                kept.append(pos)
-            if kept:
-                yield kept
-
-    def _verify_store(self, ctx: ExecutionContext, simple: bool) -> Iterator[array]:
-        pnode, store = self.pnode, ctx.store
-        doc = ctx.doc
-        kernels = active_kernels()
-        wildcard = pnode.tag == "*"
-        tag_id = None if wildcard else doc.tag_dict.get(pnode.tag)
-        name_of = doc.tag_dict.name_of
-        entries_per_page = store.entries_per_page
-        for batch in self.child.execute(ctx):
-            kept = array("q")
-            i, n = 0, len(batch)
-            while i < n:
-                page_id = batch[i] // entries_per_page
-                j = bisect_left(batch, (page_id + 1) * entries_per_page, i)
-                try:
-                    columns = store.page_columns(page_id)
-                except PageCorruptionError as exc:
-                    ctx.report_corruption(exc)  # raises when ctx.strict
-                    # report_corruption counted one candidate; the rest
-                    # of this page group is dropped with it.
-                    ctx.stats.candidates_skipped_corrupt += j - i - 1
-                    i = j
-                    continue
-                base = page_id * entries_per_page
-                tags = columns.tags
-                if simple and wildcard:
-                    kept.extend(batch[i:j])
-                elif simple:
-                    if tag_id is not None:
-                        kept.extend(
-                            kernels.take_eq(batch[i:j], tags, tag_id, base)
-                        )
-                else:
-                    for k in range(i, j):
-                        pos = batch[k]
-                        entry_tag = tags[pos - base]
-                        if not wildcard and entry_tag != tag_id:
-                            continue
-                        if not pnode.matches(name_of(entry_tag), store.text(pos)):
-                            continue
-                        if pnode.attr_tests and not pnode.matches_attrs(
-                            store.attrs_of(pos)
-                        ):
-                            continue
-                        kept.append(pos)
-                i = j
-            if kept:
-                yield kept
-
-    def describe(self) -> str:
-        return f"<{self.pnode.tag}>"
 
 
 class AccessFilter(Operator):
@@ -437,15 +337,15 @@ class AccessFilter(Operator):
 class NPMMatch(Operator):
     """ε-NoK next-of-kin pattern matching of one NoK subtree.
 
-    For each (verified, access-checked) candidate root it enumerates the
+    For each (root-tested, access-checked) candidate root it enumerates the
     output-node bindings via :func:`~repro.nok.matcher.match_nok_subtree`.
     With ``ordered=True`` pattern children must bind to data siblings in
     pattern order.
 
     A single-node NoK subtree (the common shape under ``//``-chained
     queries: every step its own subtree, folded by structural joins)
-    matches trivially — the candidate already passed the tag and access
-    tests, so the binding is just ``{root: pos}``. That case emits the
+    matches trivially — the candidate already passed the root's node
+    test and the access test, so the binding is just ``{root: pos}``. That case emits the
     position batch as a :class:`ColumnBatch` — the candidate array
     *becomes* the binding column, zero per-row work and no access calls.
 

@@ -3,18 +3,21 @@
 The :class:`Planner` turns a parsed pattern tree plus its NoK
 decomposition into a tree of Volcano operators:
 
-1. each NoK subtree becomes ``TagIndexScan → RootVerify → NPMMatch``;
+1. each NoK subtree becomes ``TagIndexScan → NPMMatch`` — the scan's
+   candidates have passed the root's whole node test against the
+   plan's document, so no operator reads a page to re-check a root;
 2. every ancestor–descendant edge of the decomposition folds the child
    subtree's plan into its parent via an :class:`~repro.exec.operators.STDJoin`
    (children joined bottom-up, in decomposition-edge order);
 3. the secure *rewrite* :func:`apply_access_rewrite` then transforms the
    tree — security is a plan transformation, not an ``if`` branch inside
    an evaluator. It inserts an
-   :class:`~repro.exec.operators.AccessFilter` above every ``RootVerify``
-   (the ε-NoK pre-condition) and, over a block store, a
-   :class:`~repro.exec.operators.PageSkipScan` above every
-   ``TagIndexScan``. One rewrite serves both semantics: the context's run
-   list is node-level under Cho and path-level under view
+   :class:`~repro.exec.operators.AccessFilter` (the ε-NoK
+   pre-condition) directly above every scan: above the
+   ``TagIndexScan`` in memory, and over a block store above the
+   :class:`~repro.exec.operators.PageSkipScan` it first puts over the
+   ``TagIndexScan``. One rewrite serves both semantics: the context's
+   run list is node-level under Cho and path-level under view
    (Gabillon–Bruno), so under view the filters prune the view and every
    binding a join sees already has an accessible root path;
 
@@ -43,7 +46,6 @@ from repro.exec.operators import (
     Operator,
     PageSkipScan,
     Project,
-    RootVerify,
     STDJoin,
     StaticEmpty,
     TagIndexScan,
@@ -184,11 +186,9 @@ def apply_access_rewrite(root: Operator, ctx: ExecutionContext) -> Operator:
     """
 
     def rewrite(op: Operator) -> Operator:
-        if isinstance(op, TagIndexScan) and ctx.store is not None:
-            return PageSkipScan(op)
-        if isinstance(op, RootVerify):
-            return AccessFilter(op)
-        return op
+        if not isinstance(op, TagIndexScan):
+            return op
+        return AccessFilter(PageSkipScan(op) if ctx.store is not None else op)
 
     return _transform(root, rewrite)
 
@@ -255,7 +255,6 @@ class Planner:
         subtree = dec.subtrees[index]
         anchored = index == 0 and pattern.root_axis == CHILD
         op: Operator = TagIndexScan(subtree.root, anchored=anchored)
-        op = RootVerify(op, subtree.root)
         op = NPMMatch(op, subtree, ordered)
         for edge in dec.children_of(index):
             child_plan = self._plan_subtree(dec, edge.child_subtree, pattern, ordered)

@@ -3,14 +3,17 @@
 Evaluation is compiled, not interpreted: a query is parsed, decomposed
 into NoK subtrees, and handed to the :class:`~repro.exec.planner.Planner`,
 which emits an explicit physical plan of Volcano-style operators
-(``TagIndexScan → RootVerify → NPMMatch``, folded together by ``STDJoin``
-edges, with secure evaluation applied as a plan rewrite — the ε-NoK
-ACCESS pre-condition and header-driven page skipping over a
+(``TagIndexScan → NPMMatch``, folded together by ``STDJoin`` edges, with
+secure evaluation applied as a plan rewrite — the ε-NoK ACCESS
+pre-condition and header-driven page skipping over a
 :class:`~repro.storage.nokstore.NoKStore`; under view semantics ACCESS
-is root-path accessibility, so joins need no path check). Operators pull bindings lazily from their children, so
-results stream out incrementally; :meth:`QueryEngine.stream` exposes the
-raw iterator and :meth:`QueryEngine.evaluate` drains it into the
-historical :class:`QueryResult`.
+is root-path accessibility, so joins need no path check). The scan
+answers each root's whole node test from the document, so a plan reads
+only the pages its matcher needs. Operators pull bindings lazily from
+their children, so results stream out incrementally;
+:meth:`QueryEngine.stream` exposes the raw iterator and
+:meth:`QueryEngine.evaluate` drains it into the historical
+:class:`QueryResult`.
 
 The engine runs over an in-memory :class:`~repro.xmltree.document.Document`
 or, when constructed with ``use_store=True``, over the block-oriented

@@ -578,10 +578,15 @@ class PlainPageFormat:
         trans_codes = array("H", compress(words[4::6], flags))
         return PageColumns(header, tags, depths, subtrees, trans_codes, flags)
 
-    def container_report(self, data) -> Dict[str, Dict[str, int]]:
-        """Physical vs logical container bytes of one stored page."""
-        header = PageHeader.unpack(data)
-        n = header.n_entries
+    def container_report(
+        self, data, columns: PageColumns
+    ) -> Dict[str, Dict[str, int]]:
+        """Physical vs logical container bytes of one stored page.
+
+        ``columns`` is the page's decode; the fixed-width layout needs
+        only its entry count.
+        """
+        n = columns.n
         # The fixed-width entry interleaves both containers; attribute
         # the structural 8 bytes and code-ish 4 bytes of each record.
         return {
@@ -688,18 +693,27 @@ class CompressedPageFormat:
             decode_container(c_id, c_blob),
         )
 
-    def container_report(self, data) -> Dict[str, Dict[str, int]]:
-        header, s_id, s_blob, c_id, c_blob = self._containers(data)
-        n = header.n_entries
+    def container_report(
+        self, data, columns: PageColumns
+    ) -> Dict[str, Dict[str, int]]:
+        """Physical vs logical container bytes of one stored page.
+
+        ``columns`` is the page's decode (:meth:`decode_page_columns`),
+        which already proved each container's logical length — ``8 n``
+        structure bytes, and a codes container of the transition bitmap
+        plus two bytes per code slot — so nothing is decompressed again.
+        """
+        s_id, c_id, s_len, c_len = _CODEC_HEADER.unpack_from(data, HEADER_SIZE)
+        n = columns.n
         return {
             "structure": {
-                "physical": len(s_blob),
+                "physical": s_len,
                 "logical": 8 * n,
                 "codec": CODEC_NAMES[s_id],
             },
             "codes": {
-                "physical": len(c_blob),
-                "logical": len(decode_container(c_id, c_blob)),
+                "physical": c_len,
+                "logical": (n + 7) // 8 + 2 * len(columns.trans_codes),
                 "codec": CODEC_NAMES[c_id],
             },
         }

@@ -418,7 +418,7 @@ def fsck_report(path: str, catalog_path: str = None) -> Dict[str, object]:
                 continue
             try:
                 columns = page_format.decode_page_columns(data)
-                per_container = page_format.container_report(data)
+                per_container = page_format.container_report(data, columns)
             except PageFormatError as exc:
                 finding(
                     "entry",

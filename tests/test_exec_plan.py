@@ -19,7 +19,6 @@ from repro.exec import (
     NPMMatch,
     PageSkipScan,
     Project,
-    RootVerify,
     STDJoin,
     TagIndexScan,
 )
@@ -87,12 +86,17 @@ class TestPlanShape:
         assert plan.run().n_answers == 3
 
     def test_cho_rewrite_adds_access_filters(self, xdoc, matrix):
-        engine = QueryEngine.build(xdoc, matrix)
-        plan = engine.compile(QUERIES["Q5"], subject=0, semantics=CHO)
-        # one AccessFilter per NoK subtree, directly above its RootVerify
-        filters = _ops(plan, AccessFilter)
-        assert len(filters) == 2
-        assert all(isinstance(f.child, RootVerify) for f in filters)
+        in_memory = QueryEngine.build(xdoc, matrix)
+        stored = QueryEngine.build(xdoc, matrix, use_store=True, page_size=256)
+        for engine, scan in ((in_memory, TagIndexScan), (stored, PageSkipScan)):
+            plan = engine.compile(QUERIES["Q5"], subject=0, semantics=CHO)
+            # one AccessFilter per NoK subtree, directly above its scan
+            filters = _ops(plan, AccessFilter)
+            assert len(filters) == 2
+            assert all(isinstance(f.child, scan) for f in filters)
+            # and the matcher directly above the filter: nothing re-reads
+            # a page to re-check a root the scan already tested
+            assert all(isinstance(m.child, AccessFilter) for m in _ops(plan, NPMMatch))
 
     @pytest.mark.parametrize("use_store", (False, True), ids=("memory", "store"))
     def test_view_plan_has_the_cho_plan_shape(self, xdoc, partial_matrix, use_store):

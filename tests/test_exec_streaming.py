@@ -37,10 +37,14 @@ def _stored_engine(xdoc, matrix):
 @pytest.mark.parametrize("semantics", [CHO, VIEW])
 def test_limit_saves_access_checks_and_page_reads(xdoc, matrix, semantics):
     engine = _stored_engine(xdoc, matrix)
-    full = engine.evaluate("//item", subject=0, semantics=semantics)
+    # ``[name]`` makes the matcher read each candidate's page; a bare
+    # ``//item`` reads none, limited or not
+    full = engine.evaluate("//item[name]", subject=0, semantics=semantics)
     assert full.n_answers > 3  # the limit below must actually bite
 
-    limited = engine.evaluate("//item", subject=0, semantics=semantics, limit=2)
+    limited = engine.evaluate(
+        "//item[name]", subject=0, semantics=semantics, limit=2
+    )
     assert limited.n_answers == 2
     assert limited.stats.access_checks < full.stats.access_checks
     assert limited.stats.logical_page_reads < full.stats.logical_page_reads

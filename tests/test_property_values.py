@@ -3,8 +3,7 @@
 Random documents with random short texts, queries mixing tag, value, and
 wildcard tests — NoK evaluation and the brute-force oracle must return
 identical answers, securely and not, in memory and over a small-page
-store (where value-rooted candidates also pass ``PageSkipScan`` and
-``RootVerify`` over pages).
+store (where value-rooted candidates also pass ``PageSkipScan``).
 """
 
 import random

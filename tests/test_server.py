@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.nok.engine import QueryEngine
 from repro.server.chaos import ChaosPlan, ChaosSpec
+from repro.server import health
 from repro.server.health import HealthConfig
 from repro.server.netserver import serve
 from repro.server.protocol import (
@@ -243,9 +244,15 @@ class TestResilientServing:
             engine.store.clear_quarantine()
             svc.close()
 
-    def test_breaker_trips_then_probe_heals(self, engine):
+    def test_breaker_trips_then_probe_heals(self, engine, monkeypatch):
+        # the breaker reads its clock through health.monotonic: drive it
+        # by hand, so "inside" and "past" the probe interval are exact
+        clock = [1000.0]
+        monkeypatch.setattr(health, "monotonic", lambda: clock[0])
         svc = self._service(engine, corruption_trip=1, probe_interval_s=0.05)
-        svc._last_quarantine_probe = time.monotonic()
+        # the closed-state reverify runs on the service's own clock; hold
+        # it off for good so only the breaker decides when to probe
+        svc._last_quarantine_probe = float("inf")
         try:
             engine.store.quarantined.update(range(1024))
             first = svc.evaluate("//item/name", subject=0)
@@ -256,7 +263,7 @@ class TestResilientServing:
             assert second["degraded"] is True
             # past the interval the next request probes: the quarantine
             # was transient (the disk is actually fine), so it heals
-            time.sleep(0.06)
+            clock[0] += 0.06
             third = svc.evaluate("//item/name", subject=0)
             assert third["degraded"] is False
             assert svc.health.breaker.state == "closed"

@@ -490,7 +490,7 @@ def test_incompressible_structure_falls_back_to_none():
     ]
     header = PageHeader(first_code=0, change_bit=0, n_entries=len(entries))
     page = fmt.encode_page(header, entries, 4096)
-    report = fmt.container_report(page)
+    report = fmt.container_report(page, fmt.decode_page_columns(page))
     # whatever the codec chose per container, decode must still invert
     _, out = fmt.decode_page(page)
     assert out == entries

@@ -148,8 +148,9 @@ def _flip_byte(path, offset):
 
 def test_corrupt_page_at_a_pin_costs_the_candidate_once(xmark_store, tmp_path):
     """The rot sits on the page *after* a candidate's own page, so the
-    candidate passes RootVerify and the matcher meets the bad page at a
-    pin, mid-walk over the candidate's children."""
+    candidate's root test (answered by the tag index, no page read)
+    passes and the matcher meets the bad page at a pin, mid-walk over
+    the candidate's children."""
     doc, matrix = xmark_store
     path = str(tmp_path / "store.db")
     built = NoKStore(doc, DOL.from_matrix(matrix), path=path, page_size=PAGE_SIZE)

@@ -64,14 +64,17 @@ class TestOrderingAndContent:
 
 
 class TestEarlyTermination:
+    #: its matcher reads each candidate's page (a bare ``//item`` reads none)
+    PAGE_READING_QUERY = "//item[name]"
+
     def test_limit_stops_store_reads_early(self, store_engine):
         full = stream_answer_fragments(
-            store_engine, "//item", 0, use_run_cache=False
+            store_engine, self.PAGE_READING_QUERY, 0, use_run_cache=False
         )
         n_full = len(drain(full))
         assert n_full > 2
         limited = stream_answer_fragments(
-            store_engine, "//item", 0, limit=1, use_run_cache=False
+            store_engine, self.PAGE_READING_QUERY, 0, limit=1, use_run_cache=False
         )
         got = drain(limited)
         assert len(got) == 1
@@ -82,11 +85,11 @@ class TestEarlyTermination:
 
     def test_close_abandons_the_plan_mid_stream(self, store_engine):
         full = stream_answer_fragments(
-            store_engine, "//item", 0, use_run_cache=False
+            store_engine, self.PAGE_READING_QUERY, 0, use_run_cache=False
         )
         drain(full)
         abandoned = stream_answer_fragments(
-            store_engine, "//item", 0, use_run_cache=False
+            store_engine, self.PAGE_READING_QUERY, 0, use_run_cache=False
         )
         next(abandoned)  # one fragment, then the subscriber walks away
         abandoned.close()
