@@ -17,10 +17,11 @@ original data and in any inserted data) is enforced by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dol.labeling import DOL, transitions_from_masks
-from repro.errors import UpdateError
+from repro.errors import CodebookError, UpdateError
 
 MaskFn = Callable[[int], int]
 JournalFn = Callable[[Dict[str, object]], None]
@@ -79,10 +80,11 @@ class DOLUpdater:
     def transform_range(self, start: int, end: int, fn: MaskFn) -> int:
         """Apply ``fn`` to the ACL of every node in [start, end).
 
-        The rewrite is local: transitions strictly before ``start`` and
-        strictly after ``end`` are untouched; the segment list covering the
-        range is recomputed, with boundary transitions materialized at
-        ``start`` and ``end`` when needed.
+        The rewrite is a splice costing O(log T + range) for T
+        transitions: only the transitions at positions in [start, end]
+        are decoded and replaced, by the transformed segment list with
+        boundary transitions materialized at ``start`` and ``end`` when
+        needed. Every other transition keeps its code.
 
         Returns the transition-count delta.
         """
@@ -90,26 +92,13 @@ class DOLUpdater:
         if not 0 <= start < end <= dol.n_nodes:
             raise UpdateError(f"invalid range [{start}, {end})")
         before = dol.n_transitions
-
-        pairs = self._segment_pairs()
-        rebuilt: List[Tuple[int, int]] = []
-        mask_after_end = dol.mask_at(end) if end < dol.n_nodes else None
-
-        for pos, mask in pairs:
-            if pos < start:
-                rebuilt.append((pos, mask))
-        # The segment in effect at `start`, clipped and transformed.
-        rebuilt.append((start, fn(dol.mask_at(start))))
-        for pos, mask in pairs:
-            if start < pos < end:
-                rebuilt.append((pos, fn(mask)))
-        if mask_after_end is not None:
-            rebuilt.append((end, mask_after_end))
-            for pos, mask in pairs:
-                if pos > end:
-                    rebuilt.append((pos, mask))
-
-        self._install(rebuilt)
+        positions, codes = dol.positions, dol.codes
+        pairs = [(start, fn(dol.mask_at(start)))]
+        for index in range(bisect_right(positions, start), bisect_left(positions, end)):
+            pairs.append((positions[index], fn(dol.codebook.decode(codes[index]))))
+        if end < dol.n_nodes:
+            pairs.append((end, dol.mask_at(end)))
+        self._splice(start, end, pairs, 0)
         delta = dol.n_transitions - before
         self._record("transform_range", start=start, end=end, delta=delta)
         return delta
@@ -129,25 +118,13 @@ class DOLUpdater:
         if not masks:
             raise UpdateError("cannot insert an empty subtree")
         before = dol.n_transitions
-        own = len(transitions_from_masks(masks))
+        own = transitions_from_masks(masks)
         k = len(masks)
-
-        pairs = self._segment_pairs()
-        rebuilt: List[Tuple[int, int]] = []
-        for pos, mask in pairs:
-            if pos < at:
-                rebuilt.append((pos, mask))
-        for offset, mask in enumerate(masks):
-            rebuilt.append((at + offset, mask))
+        pairs = [(at + offset, mask) for offset, mask in own]
         if at < dol.n_nodes:
-            rebuilt.append((at + k, dol.mask_at(at)))
-            for pos, mask in pairs:
-                if pos > at:
-                    rebuilt.append((pos + k, mask))
-
-        dol.n_nodes += k
-        self._install(rebuilt)
-        delta = dol.n_transitions - before - own
+            pairs.append((at + k, dol.mask_at(at)))
+        self._splice(at, at, pairs, k)
+        delta = dol.n_transitions - before - len(own)
         self._record("insert_range", at=at, n_nodes=k, delta=delta)
         return delta
 
@@ -159,21 +136,8 @@ class DOLUpdater:
         if end - start == dol.n_nodes:
             raise UpdateError("cannot delete the entire document")
         before = dol.n_transitions
-        k = end - start
-
-        pairs = self._segment_pairs()
-        rebuilt: List[Tuple[int, int]] = []
-        for pos, mask in pairs:
-            if pos < start:
-                rebuilt.append((pos, mask))
-        if end < dol.n_nodes:
-            rebuilt.append((start, dol.mask_at(end)))
-            for pos, mask in pairs:
-                if pos > end:
-                    rebuilt.append((pos - k, mask))
-
-        dol.n_nodes -= k
-        self._install(rebuilt)
+        pairs = [(start, dol.mask_at(end))] if end < dol.n_nodes else []
+        self._splice(start, end, pairs, start - end)
         delta = dol.n_transitions - before
         self._record("delete_range", start=start, end=end, delta=delta)
         return delta
@@ -182,16 +146,18 @@ class DOLUpdater:
         """Move the subtree [start, end) so it begins at position ``to``.
 
         ``to`` is interpreted in the coordinates of the document *after*
-        the subtree is excised. Returns the total transition delta.
+        the subtree is excised. Every argument is checked before the
+        delete, so a rejected move leaves the DOL as it was. Returns the
+        total transition delta.
         """
         dol = self.dol
         if not 0 <= start < end <= dol.n_nodes:
             raise UpdateError(f"invalid range [{start}, {end})")
-        masks = dol.to_masks()[start:end]
+        if not 0 <= to <= dol.n_nodes - (end - start):
+            raise UpdateError(f"invalid destination {to}")
+        masks = self._range_masks(start, end)
         before = dol.n_transitions
         self.delete_range(start, end)
-        if not 0 <= to <= dol.n_nodes:
-            raise UpdateError(f"invalid destination {to}")
         self.insert_range(to, masks)
         return dol.n_transitions - before
 
@@ -207,27 +173,56 @@ class DOLUpdater:
 
     # -- internals ------------------------------------------------------------------
 
-    def _segment_pairs(self) -> List[Tuple[int, int]]:
+    def _range_masks(self, start: int, end: int) -> List[int]:
+        """Per-node masks of [start, end), read from the window's transitions."""
         dol = self.dol
-        return [
-            (pos, dol.codebook.decode(code))
-            for pos, code in zip(dol.positions, dol.codes)
-        ]
+        lo = dol.transition_index_for(start)
+        hi = bisect_left(dol.positions, end)
+        bounds = [start] + dol.positions[lo + 1 : hi] + [end]
+        masks: List[int] = []
+        for index, (a, b) in enumerate(zip(bounds, bounds[1:]), lo):
+            masks.extend([dol.codebook.decode(dol.codes[index])] * (b - a))
+        return masks
 
-    def _install(self, pairs: List[Tuple[int, int]]) -> None:
-        """Install a candidate segment list, dropping redundant transitions."""
+    def _splice(
+        self, start: int, end: int, pairs: List[Tuple[int, int]], shift: int
+    ) -> None:
+        """Replace the transitions at positions in [start, end] with ``pairs``.
+
+        ``pairs`` is the window's (position, mask) segment list in
+        post-update coordinates; transitions after ``end`` move by
+        ``shift`` (the inserted or deleted node count). Every window mask
+        is encoded before anything is assigned, so a rejected mask leaves
+        the DOL and its codebook as they were. A pair is dropped where
+        its mask repeats the one before it, which only happens where the
+        window meets the prefix or inside the window. New lists are
+        installed and the old ones are never edited: the store's
+        overflow rollback and snapshot clones hold on to them.
+        """
         dol = self.dol
-        positions: List[int] = []
-        codes: List[int] = []
-        previous_mask: Optional[int] = None
-        for pos, mask in pairs:
-            if mask == previous_mask:
-                continue
-            positions.append(pos)
-            codes.append(dol.codebook.encode(mask))
-            previous_mask = mask
-        dol.positions = positions
-        dol.codes = codes
+        codebook = dol.codebook
+        n_entries = len(codebook)
+        try:
+            codes = [codebook.encode(mask) for _pos, mask in pairs]
+        except CodebookError:
+            codebook.truncate(n_entries)
+            raise
+        lo = bisect_left(dol.positions, start)
+        hi = bisect_right(dol.positions, end)
+        previous = codebook.decode(dol.codes[lo - 1]) if lo else None
+        new_positions: List[int] = []
+        new_codes: List[int] = []
+        for (pos, mask), code in zip(pairs, codes):
+            if mask != previous:
+                new_positions.append(pos)
+                new_codes.append(code)
+                previous = mask
+        tail = dol.positions[hi:]
+        if shift:
+            tail = [pos + shift for pos in tail]
+        dol.positions = dol.positions[:lo] + new_positions + tail
+        dol.codes = dol.codes[:lo] + new_codes + dol.codes[hi:]
+        dol.n_nodes += shift
         # Every updater mutation funnels through here; bumping the run
         # epoch invalidates cached run lists keyed on the old content.
         dol._bump_runs_epoch()

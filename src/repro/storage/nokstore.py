@@ -20,8 +20,9 @@ Consequences, each measurable through the I/O counters:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.dol.labeling import DOL
 from repro.dol.updates import DOLUpdater
@@ -319,35 +320,38 @@ class NoKStore(PageNavigation, PageAccess):
                 self.entries_per_page = max(1, self.entries_per_page * 3 // 4)
 
     def _render_page_bytes(self, first: int) -> "tuple[bytes, PageHeader]":
+        """Encode the page that starts at position ``first``.
+
+        The page's codes come from its slice of the transition list (one
+        bisect pair per page): the first entry carries its governing code
+        as a page-initial pseudo-transition, so an access check never
+        needs a neighbouring page, and every real transition after it
+        carries its own code and sets the header's change bit.
+        """
         doc, labeling = self.doc, self.labeling
+        positions = labeling.positions
         last = min(first + self.entries_per_page, self.n_nodes)
-        change_bit = False
-        entries: List[NodeEntry] = []
-        for pos in range(first, last):
-            # The first entry of every page carries its governing code
-            # (a page-initial pseudo-transition), so an access check never
-            # needs a neighbouring page.
-            is_transition = labeling.is_transition(pos)
-            if pos == first:
-                code = labeling.code_at(pos)
-                entry_transition = True
-            else:
-                code = labeling.code_at(pos) if is_transition else 0
-                entry_transition = is_transition
-                change_bit = change_bit or is_transition
-            entries.append(
-                NodeEntry(
-                    tag_id=doc.tags[pos],
-                    depth=doc.depth[pos],
-                    subtree=doc.subtree[pos],
-                    code=code,
-                    is_transition=entry_transition,
-                )
+        lo = bisect_right(positions, first)
+        hi = bisect_left(positions, last, lo)
+        first_code = labeling.codes[lo - 1]
+        codes = [0] * (last - first)
+        flags = [False] * (last - first)
+        codes[0], flags[0] = first_code, True
+        for index in range(lo, hi):
+            offset = positions[index] - first
+            codes[offset], flags[offset] = labeling.codes[index], True
+        entries = list(
+            map(
+                NodeEntry,
+                doc.tags[first:last],
+                doc.depth[first:last],
+                doc.subtree[first:last],
+                codes,
+                flags,
             )
+        )
         header = PageHeader(
-            first_code=labeling.code_at(first),
-            change_bit=change_bit,
-            n_entries=last - first,
+            first_code=first_code, change_bit=hi > lo, n_entries=last - first
         )
         return self.page_format.encode_page(header, entries, self.page_size), header
 
@@ -479,27 +483,40 @@ class NoKStore(PageNavigation, PageAccess):
             pages = self._rewrite_range(start, end, ops)
             return UpdateCost(pages_rewritten=pages, transition_delta=delta)
 
-    def catalog_state(self) -> Dict[str, object]:
-        """The catalog fields a mutation can change.
+    def acl_catalog_patch(self) -> Dict[str, object]:
+        """The catalog fields an accessibility update can change.
 
-        This is the payload of a WAL commit record: after replaying the
-        batch's pages, recovery overwrites these keys in the on-disk
-        catalog so the codebook (and, for structural updates, the texts,
-        tags and counts) match the replayed pages.
+        This is the payload of an ACL commit record: the subject count
+        and the codebook, entry by entry in code order. Texts, tags and
+        counts are untouched by an ACL update, so recovery's in-order
+        merge of commit patches keeps them from the catalog or from an
+        earlier structural commit.
+        """
+        codebook = self.labeling.codebook
+        return {
+            "n_subjects": codebook.n_subjects,
+            "codebook": [f"{mask:x}" for _code, mask in codebook.entries()],
+        }
+
+    def catalog_state(self) -> Dict[str, object]:
+        """Every catalog field the store's state determines.
+
+        ``save_store`` writes it as the checkpoint catalog, and a
+        structural update commits it whole: after replaying the batch's
+        pages, recovery overwrites these keys in the on-disk catalog so
+        the texts, tags, counts and codebook match the replayed pages.
         """
         doc = self.doc
-        codebook = self.labeling.codebook
         # The DOL round-trips through the page codes; the catalog only
-        # needs the codebook, entry by entry in code order.
+        # needs the codebook.
         state: Dict[str, object] = {
             "n_nodes": self.n_nodes,
             "n_pages": self._n_data_pages,
             "tags": [doc.tag_dict.name_of(i) for i in range(len(doc.tag_dict))],
             "texts": list(doc.texts),
             "labeling": "dol",
-            "n_subjects": codebook.n_subjects,
-            "codebook": [f"{mask:x}" for _code, mask in codebook.entries()],
         }
+        state.update(self.acl_catalog_patch())
         if self.page_format.catalog_tag is not None:
             # v3 stores: the codec negotiation tag plus the density the
             # build (or a structural re-pack) chose. Absent on plain
@@ -512,9 +529,12 @@ class NoKStore(PageNavigation, PageAccess):
         if self.wal is not None:
             self.wal.begin()
 
-    def _wal_commit(self, ops: Optional[List[dict]]) -> None:
+    def _wal_commit(
+        self, patch: Callable[[], Dict[str, object]], ops: Optional[List[dict]]
+    ) -> None:
+        """Commit the open batch; ``patch`` builds its catalog patch."""
         if self.wal is not None:
-            self.wal.commit(self.catalog_state(), ops)
+            self.wal.commit(patch(), ops)
 
     def _wal_abort(self) -> None:
         if self.wal is not None:
@@ -528,8 +548,9 @@ class NoKStore(PageNavigation, PageAccess):
         ``end`` is included because the update may materialize a boundary
         transition at position ``end``. On a file-backed store the whole
         rewrite runs as one WAL batch: each page write is preceded by its
-        physiological log record, and the commit record (codebook patch +
-        logical ops) is forced before the batch counts as durable.
+        physiological log record, and the commit record (the codebook
+        patch of :meth:`acl_catalog_patch` + logical ops) is forced before
+        the batch counts as durable.
         """
         first_page = start // self.entries_per_page
         last_pos = min(end, self.n_nodes - 1)
@@ -548,7 +569,7 @@ class NoKStore(PageNavigation, PageAccess):
                 self.buffer.flush(page_id)
                 self.headers.set(page_id, header)
                 self._decoded.invalidate(page_id)
-            self._wal_commit(ops)
+            self._wal_commit(self.acl_catalog_patch, ops)
             self.pager.sync()
         except BaseException:
             self._wal_abort()
@@ -631,7 +652,9 @@ class NoKStore(PageNavigation, PageAccess):
                         self._decoded.invalidate(stale)
                     self.headers.truncate(needed)
                 self._n_data_pages = needed
-                self._wal_commit([{"op": "structural", "from_pos": from_pos}])
+                self._wal_commit(
+                    self.catalog_state, [{"op": "structural", "from_pos": from_pos}]
+                )
                 self.pager.sync()
             except BaseException:
                 self._wal_abort()

@@ -7,8 +7,10 @@ physiological records:
 
 ``BEGIN`` → one ``PAGE`` record per page write (page id + the page's
 raw **before-image** and the stamped **after-image**) → ``COMMIT``
-(carrying a JSON *catalog patch*: the post-update codebook, texts, tags
-and counts, which the sidecar catalog on disk does not yet reflect).
+(carrying a JSON *catalog patch*: the catalog keys the batch changed,
+which the sidecar catalog on disk does not yet reflect — the subject
+count and codebook for an accessibility update, the whole catalog
+state, texts, tags and counts included, for a structural one).
 
 Ordering discipline: a ``PAGE`` record is appended **and fsynced before**
 the corresponding data-page write reaches the page file (the WAL rule —
@@ -18,8 +20,8 @@ appended and fsynced before the batch is considered durable. Recovery at
 states and maps each to a clean outcome:
 
 - batches closed by a ``COMMIT``: **redo** — rewrite every after-image
-  (idempotent; torn data pages are simply overwritten), then apply the
-  catalog patch;
+  (idempotent; torn data pages are simply overwritten), then merge the
+  catalog patches in log order;
 - a trailing batch with no ``COMMIT``: **undo** — restore before-images
   in reverse order, returning the store to its pre-update state;
 - a torn record at the tail (the crash hit the log itself): the record
@@ -158,7 +160,12 @@ class WriteAheadLog:
         catalog_patch: Dict[str, object],
         ops: Optional[List[Dict[str, object]]] = None,
     ) -> None:
-        """Close the batch: append COMMIT with the catalog patch, fsync."""
+        """Close the batch: append COMMIT with the catalog patch, fsync.
+
+        ``catalog_patch`` holds only the catalog keys the batch changed;
+        recovery applies the committed patches over the catalog in log
+        order.
+        """
         if not self._in_batch:
             raise WALError("commit outside a WAL batch")
         payload = json.dumps(

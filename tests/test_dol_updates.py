@@ -4,7 +4,7 @@ import pytest
 
 from repro.dol.labeling import DOL
 from repro.dol.updates import DOLUpdater
-from repro.errors import UpdateError
+from repro.errors import CodebookError, UpdateError
 
 
 def make(masks, n_subjects=2):
@@ -162,6 +162,47 @@ class TestStructuralUpdates:
         dol, up = make([1, 1, 3])
         up.move_range(2, 3, 0)
         assert dol.to_masks() == [3, 1, 1]
+
+
+class TestFailedUpdateLeavesDOLUnchanged:
+    """A rejected update raises before the DOL or its codebook changes."""
+
+    MASKS = [1, 1, 2, 2, 1, 3, 3, 1]
+
+    def _assert_unchanged(self, dol, entries):
+        assert dol.n_nodes == len(self.MASKS)
+        assert dol.to_masks() == self.MASKS
+        assert len(dol.codebook) == entries
+        dol.validate()
+
+    def test_move_to_invalid_destination(self):
+        dol, up = make(self.MASKS)
+        entries = len(dol.codebook)
+        with pytest.raises(UpdateError):
+            up.move_range(2, 4, 99)
+        self._assert_unchanged(dol, entries)
+
+    def test_move_past_the_excised_document_end(self):
+        dol, up = make(self.MASKS)
+        entries = len(dol.codebook)
+        with pytest.raises(UpdateError):
+            up.move_range(2, 4, 7)  # 6 nodes remain after the excision
+        self._assert_unchanged(dol, entries)
+
+    def test_insert_with_unencodable_mask(self):
+        dol, up = make(self.MASKS)
+        entries = len(dol.codebook)
+        with pytest.raises(CodebookError):
+            up.insert_range(3, [1, 8])
+        self._assert_unchanged(dol, entries)
+
+    def test_unencodable_mask_registers_no_codebook_entry(self):
+        dol, up = make(self.MASKS)
+        entries = len(dol.codebook)
+        with pytest.raises(CodebookError):
+            up.insert_range(3, [0, 8])  # 0 is new, 8 has no subject bit
+        self._assert_unchanged(dol, entries)
+        assert 0 not in dol.codebook
 
 
 class TestProposition1:

@@ -186,3 +186,140 @@ class TestBatchDataclass:
     def test_committed_property(self):
         assert not WALBatch().committed
         assert WALBatch(catalog_patch={}).committed
+
+
+# -- commit records of a store --------------------------------------------------
+#
+# An ACL update commits only what it can change (the codebook and the
+# subject count); a structural update commits the whole catalog state.
+# Recovery merges commit patches in log order. These tests use pytest
+# alone, so the fault-injection CI job can run them.
+
+STORE_PAGE = 512
+N_SUBJECTS = 8
+
+
+def _saved_store(tmp_path, n_items, text_scale=1):
+    """A saved store; ``text_scale`` repeats every node's text that often."""
+    from repro.acl.synthetic import SyntheticACLConfig, generate_synthetic_acl
+    from repro.dol.labeling import DOL
+    from repro.storage.nokstore import NoKStore
+    from repro.storage.persist import save_store
+    from repro.xmark.generator import XMarkConfig, generate_document
+    from repro.xmltree.document import Document
+
+    doc = generate_document(XMarkConfig(n_items=n_items, seed=3))
+    matrix = generate_synthetic_acl(
+        doc, SyntheticACLConfig(accessibility_ratio=0.7, seed=4), n_subjects=N_SUBJECTS
+    )
+    if text_scale > 1:
+        doc = Document(
+            doc.tags, doc.parent, doc.subtree, doc.depth,
+            [text * text_scale for text in doc.texts], doc.tag_dict, doc.attrs,
+        )
+    path = str(tmp_path / f"store-{n_items}-{text_scale}.db")
+    store = NoKStore(doc, DOL.from_matrix(matrix), path=path, page_size=STORE_PAGE)
+    save_store(store)
+    return store
+
+
+def _commits(store):
+    from repro.storage.nokstore import wal_path_for
+
+    return WriteAheadLog.scan(wal_path_for(store.pager.path))
+
+
+def _wal_bytes_of_one_update(tmp_path, n_items, text_scale=1):
+    from repro.storage.nokstore import wal_path_for
+
+    store = _saved_store(tmp_path, n_items, text_scale)
+    wal = wal_path_for(store.pager.path)
+    before = os.path.getsize(wal)
+    # one node in the middle of a page: a one-page rewrite
+    pos = store.entries_per_page * (store.n_pages // 2) + store.entries_per_page // 2
+    store.update_subject_range(pos, pos + 1, 0, not store.labeling.accessible(0, pos))
+    written = os.path.getsize(wal) - before
+    store.close()
+    return written
+
+
+def _crash(store):
+    """Drop the store's file handles without flushing: the power cut."""
+    store.pager._file.close()
+    store.wal._file.close()
+
+
+class TestStoreCommitRecords:
+    def test_acl_commit_patch_holds_only_the_codebook(self, tmp_path):
+        store = _saved_store(tmp_path, 10)
+        store.update_subject_range(5, 40, 1, False)
+        (batch,) = _commits(store)
+        assert batch.committed
+        assert set(batch.catalog_patch) == {"n_subjects", "codebook"}
+        assert batch.catalog_patch["codebook"] == [
+            f"{mask:x}" for _code, mask in store.labeling.codebook.entries()
+        ]
+        assert [op["op"] for op in batch.ops] == ["transform_range"]
+        store.close()
+
+    def test_structural_commit_patch_holds_the_catalog_state(self, tmp_path):
+        from repro.secure.secured import SecuredDocument
+        from repro.xmltree.builder import tree
+
+        store = _saved_store(tmp_path, 10)
+        secured = SecuredDocument(store.doc, store.labeling, store)
+        secured.insert_subtree(0, 0, tree(("note", "added")), [0b1])
+        (batch,) = _commits(store)
+        assert batch.catalog_patch == store.catalog_state()
+        store.close()
+
+    @pytest.mark.parametrize("n_items", [10, 120])
+    def test_acl_wal_bytes_do_not_grow_with_document_text(self, tmp_path, n_items):
+        plain = _wal_bytes_of_one_update(tmp_path, n_items)
+        wordy = _wal_bytes_of_one_update(tmp_path, n_items, text_scale=50)
+        assert plain < 3 * STORE_PAGE + 8192
+        assert wordy == plain
+
+    def test_structural_then_acl_commit_recover_in_order(self, tmp_path):
+        from repro.dol.labeling import DOL
+        from repro.nok.engine import QueryEngine
+        from repro.secure.secured import SecuredDocument
+        from repro.storage.persist import open_store
+        from repro.xmltree.builder import tree
+
+        store = _saved_store(tmp_path, 12)
+        path = store.pager.path
+        twin_dol = DOL.from_masks(store.labeling.to_masks(), N_SUBJECTS)
+        twin = SecuredDocument(store.doc, twin_dol)
+        secured = SecuredDocument(store.doc, store.labeling, store)
+        codebook = store.labeling.codebook
+        new_mask = next(m for m in range(1 << N_SUBJECTS) if m not in codebook)
+        for target in (secured, twin):
+            subtree = tree(("annotation", ("note", "recovered"), ("note", "second")))
+            target.insert_subtree(0, 1, subtree, [0b1, 0b11, 0b1])
+            target.set_node_mask(target.doc.subtree_end(1) + 2, new_mask)
+        patches = [batch.catalog_patch for batch in _commits(store)]
+        assert ["texts" in patch for patch in patches] == [True, False]
+        expected_codebook = list(codebook.entries())
+        _crash(store)  # no checkpoint: both batches live only in the WAL
+
+        with open_store(path) as reopened:
+            assert reopened.last_recovery["batches_replayed"] == 2
+            reopened.verify()
+            doc = reopened.doc
+            assert doc.texts == twin.doc.texts
+            assert list(doc.tags) == list(twin.doc.tags)
+            assert [doc.tag_dict.name_of(i) for i in range(len(doc.tag_dict))] == [
+                twin.doc.tag_dict.name_of(i) for i in range(len(twin.doc.tag_dict))
+            ]
+            assert list(reopened.labeling.codebook.entries()) == expected_codebook
+            assert reopened.labeling.to_masks() == twin.labeling.to_masks()
+            stored = QueryEngine(doc, labeling=reopened.labeling, store=reopened)
+            memory = QueryEngine(twin.doc, labeling=twin.labeling)
+            queries = ("//item[name]", "//annotation/note", "//*", "//site//keyword")
+            for query in queries:
+                for subject in range(N_SUBJECTS):
+                    assert (
+                        stored.evaluate(query, subject=subject).positions
+                        == memory.evaluate(query, subject=subject).positions
+                    ), (query, subject)
